@@ -27,20 +27,18 @@ class DpFedProx : public FederatedAlgorithm {
     ModelParameters global = ModelParameters::from_model(*init);
     Rng noise_rng(opts.seed ^ 0xD9E5ull);
 
-    const std::vector<double> weights = Server::client_weights(clients);
     const std::unique_ptr<AggregationRule> rule = sync_aggregation_rule(opts);
     for (int r = 0; r < opts.rounds; ++r) {
       const std::vector<std::size_t> cohort =
           select_cohort(participation, r, clients.size(), opts, sim);
       std::vector<const ModelParameters*> deployed(cohort.size(), &global);
-      std::vector<ModelParameters> updates =
-          cohort_local_updates(clients, cohort, deployed, opts.client, sim);
-      for (ModelParameters& update : updates) {
+      const std::unique_ptr<BufferingAccumulator> round =
+          buffered_round(clients, cohort, deployed, *rule, global,
+                         opts.client, sim);
+      for (ModelParameters& update : round->updates()) {
         privatize_update(update, global, dp_, noise_rng);
       }
-      global = Server::aggregate(*rule, global, updates,
-                                 Server::cohort_weights(weights, cohort),
-                                 cohort);
+      global = round->finish();
     }
     return std::vector<ModelParameters>(clients.size(), global);
   }

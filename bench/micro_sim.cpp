@@ -108,26 +108,6 @@ double peak_rss_mb() {
 #endif
 }
 
-// FNV-1a over every tensor byte of the finals — a cheap cross-version
-// fingerprint (the pooled implementation must reproduce the pre-pool
-// traces bit-for-bit, and this makes that checkable from CI artifacts).
-std::uint64_t finals_checksum(const std::vector<ModelParameters>& finals) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const ModelParameters& p : finals) {
-    for (const ParameterEntry& e : p.entries()) {
-      const unsigned char* bytes =
-          reinterpret_cast<const unsigned char*>(e.value.data());
-      const std::int64_t n = e.value.numel() *
-                             static_cast<std::int64_t>(sizeof(float));
-      for (std::int64_t i = 0; i < n; ++i) {
-        h ^= bytes[i];
-        h *= 1099511628211ull;
-      }
-    }
-  }
-  return h;
-}
-
 // --- part 1: event-loop throughput -----------------------------------
 
 // `profiled` only labels the JSON line; the caller flips the profiler.

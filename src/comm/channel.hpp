@@ -126,35 +126,11 @@ class Channel {
       const std::vector<const ModelParameters*>& deployed,
       const std::vector<std::size_t>& recipients);
 
-  // Clients -> server. references[k] is the snapshot client k started
-  // from this round (already held by both sides; delta codecs encode
-  // against it). Encoding happens client-side and decoding server-side,
-  // both in parallel on ThreadPool::global(). Returns the server-side
-  // view of each update.
-  std::vector<ModelParameters> collect(
-      const std::vector<ModelParameters>& updates,
-      const std::vector<const ModelParameters*>& references);
-
-  // Cohort-addressed form: updates[i] comes from client senders[i]
-  // (indices must be distinct within one call).
-  std::vector<ModelParameters> collect(
-      const std::vector<ModelParameters>& updates,
-      const std::vector<const ModelParameters*>& references,
-      const std::vector<std::size_t>& senders);
-
-  // Move-consuming form: identical math and billing, but each client's
-  // raw update is released right after its roundtrip instead of living
-  // until the whole cohort returns — the caller hands the vector over
-  // and the round peaks at one cohort of decoded updates, not two
-  // (raw + decoded).
-  std::vector<ModelParameters> collect(
-      std::vector<ModelParameters>&& updates,
-      const std::vector<const ModelParameters*>& references,
-      const std::vector<std::size_t>& senders);
-
-  // Streaming collect: the fully O(1)-per-client form. Produces, wires,
-  // and consumes one update at a time — the cohort is never
-  // materialized on either side.
+  // Clients -> server, one update at a time: the cohort is never
+  // materialized on either side. references[i] is the snapshot client
+  // senders[i] started from this round (already held by both sides;
+  // delta codecs encode against it); senders must be distinct within
+  // one call.
   //
   // `lane_offsets` (fold_lane_offsets(n, lanes)) partitions cohort
   // positions [0, n) into contiguous lanes; lanes run in parallel on
@@ -162,14 +138,15 @@ class Channel {
   // each position i: produce(i) yields client senders[i]'s update
   // (callers typically train the client inside produce, so lanes are
   // also the round's training parallelism), the update goes through the
-  // uplink codec roundtrip, consume(lane, i, decoded) folds the
-  // server-side view in, and both copies are freed before i + 1 starts.
+  // uplink codec roundtrip — encoded client-side, decoded server-side —
+  // consume(lane, i, decoded) folds the server-side view in, and both
+  // copies are freed before i + 1 starts.
   //
   // produce/consume run on lane threads for distinct positions
   // concurrently; billing is reduced serially afterwards, in cohort
-  // order, exactly like collect(). A throw from produce/consume/codec
-  // stops that lane; the earliest-lane error is rethrown on the caller
-  // thread after all lanes settle.
+  // order, so it never depends on the lane layout. A throw from
+  // produce/consume/codec stops that lane; the earliest-lane error is
+  // rethrown on the caller thread after all lanes settle.
   void collect_streaming(
       const std::vector<std::size_t>& senders,
       const std::vector<const ModelParameters*>& references,

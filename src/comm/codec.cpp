@@ -1,7 +1,10 @@
 #include "comm/codec.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "comm/wire.hpp"
 #include "tensor/serialize.hpp"
@@ -15,7 +18,8 @@ void write_preamble(Writer& w, std::uint8_t codec_id, std::uint32_t entries) {
   w.pod<std::uint32_t>(entries);
 }
 
-std::uint32_t read_preamble(Reader& r, std::uint8_t expected_codec) {
+std::uint32_t read_preamble(Reader& r, std::uint8_t expected_codec,
+                            ModelParameters& params) {
   char magic[4];
   r.bytes(magic, 4);
   if (std::memcmp(magic, kMagic, 4) != 0) {
@@ -29,6 +33,10 @@ std::uint32_t read_preamble(Reader& r, std::uint8_t expected_codec) {
   }
   const std::uint32_t entries = r.pod<std::uint32_t>();
   if (entries > (1u << 20)) throw std::runtime_error("FLC1: bad entry count");
+  // Smallest entry meta: name length + buffer flag + rank.
+  constexpr std::size_t kMinEntryBytes = 4 + 1 + 4;
+  params.mutable_entries().reserve(
+      std::min<std::size_t>(entries, r.remaining() / kMinEntryBytes));
   return entries;
 }
 
@@ -41,19 +49,40 @@ void write_entry_meta(Writer& w, const ParameterEntry& entry) {
   }
 }
 
-ParameterEntry read_entry_meta(Reader& r) {
-  ParameterEntry entry;
-  entry.name = r.str();
-  entry.is_buffer = r.pod<std::uint8_t>() != 0;
+EntryMeta read_entry_meta(Reader& r) {
+  EntryMeta meta;
+  meta.name = r.str();
+  meta.is_buffer = r.pod<std::uint8_t>() != 0;
   const std::uint32_t rank = r.pod<std::uint32_t>();
   if (rank > static_cast<std::uint32_t>(Shape::kMaxRank)) {
     throw std::runtime_error("FLC1: bad rank");
   }
   std::int64_t dims[Shape::kMaxRank] = {0, 0, 0, 0};
+  std::int64_t numel = 1;
   for (std::uint32_t i = 0; i < rank; ++i) {
     dims[i] = r.pod<std::int64_t>();
+    if (dims[i] < 0) throw std::runtime_error("FLC1: negative dim");
+    if (dims[i] > 0 &&
+        numel > std::numeric_limits<std::int64_t>::max() / dims[i]) {
+      throw std::runtime_error("FLC1: element count overflows");
+    }
+    numel *= dims[i];
   }
-  entry.value = Tensor(shape_from_dims(rank, dims));
+  meta.shape = shape_from_dims(rank, dims);
+  return meta;
+}
+
+ParameterEntry make_entry(EntryMeta meta) {
+  ParameterEntry entry;
+  entry.name = std::move(meta.name);
+  entry.is_buffer = meta.is_buffer;
+  try {
+    entry.value = Tensor(meta.shape);
+  } catch (const std::exception&) {  // bad_alloc, length_error
+    throw std::runtime_error("FLC1: cannot allocate " +
+                             meta.shape.to_string() + " for '" + entry.name +
+                             "'");
+  }
   return entry;
 }
 

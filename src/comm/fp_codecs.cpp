@@ -84,12 +84,13 @@ ByteBuffer Fp32Codec::encode(const ModelParameters& params,
 ModelParameters Fp32Codec::decode(const ByteBuffer& blob,
                                   const ModelParameters* /*reference*/) const {
   wire::Reader r(blob);
-  const std::uint32_t count =
-      wire::read_preamble(r, static_cast<std::uint8_t>(kind()));
   ModelParameters params;
-  params.mutable_entries().reserve(count);
+  const std::uint32_t count =
+      wire::read_preamble(r, static_cast<std::uint8_t>(kind()), params);
   for (std::uint32_t i = 0; i < count; ++i) {
-    ParameterEntry e = wire::read_entry_meta(r);
+    wire::EntryMeta meta = wire::read_entry_meta(r);
+    r.require(static_cast<std::uint64_t>(meta.shape.numel()), 4);
+    ParameterEntry e = wire::make_entry(std::move(meta));
     r.bytes(e.value.data(), static_cast<std::size_t>(e.value.numel()) * 4);
     params.mutable_entries().push_back(std::move(e));
   }
@@ -123,12 +124,13 @@ ByteBuffer Fp16Codec::encode(const ModelParameters& params,
 ModelParameters Fp16Codec::decode(const ByteBuffer& blob,
                                   const ModelParameters* /*reference*/) const {
   wire::Reader r(blob);
-  const std::uint32_t count =
-      wire::read_preamble(r, static_cast<std::uint8_t>(kind()));
   ModelParameters params;
-  params.mutable_entries().reserve(count);
+  const std::uint32_t count =
+      wire::read_preamble(r, static_cast<std::uint8_t>(kind()), params);
   for (std::uint32_t i = 0; i < count; ++i) {
-    ParameterEntry e = wire::read_entry_meta(r);
+    wire::EntryMeta meta = wire::read_entry_meta(r);
+    r.require(static_cast<std::uint64_t>(meta.shape.numel()), 2);
+    ParameterEntry e = wire::make_entry(std::move(meta));
     for (std::int64_t j = 0; j < e.value.numel(); ++j) {
       e.value[j] = half_to_float(r.pod<std::uint16_t>());
     }

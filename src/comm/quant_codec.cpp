@@ -51,14 +51,15 @@ ByteBuffer Int8QuantCodec::encode(const ModelParameters& params,
 ModelParameters Int8QuantCodec::decode(
     const ByteBuffer& blob, const ModelParameters* /*reference*/) const {
   wire::Reader r(blob);
-  const std::uint32_t count =
-      wire::read_preamble(r, static_cast<std::uint8_t>(kind()));
   ModelParameters params;
-  params.mutable_entries().reserve(count);
+  const std::uint32_t count =
+      wire::read_preamble(r, static_cast<std::uint8_t>(kind()), params);
   for (std::uint32_t i = 0; i < count; ++i) {
-    ParameterEntry e = wire::read_entry_meta(r);
+    wire::EntryMeta meta = wire::read_entry_meta(r);
     const float lo = r.pod<float>();
     const float step = r.pod<float>();
+    r.require(static_cast<std::uint64_t>(meta.shape.numel()), 1);
+    ParameterEntry e = wire::make_entry(std::move(meta));
     for (std::int64_t j = 0; j < e.value.numel(); ++j) {
       e.value[j] = lo + step * static_cast<float>(r.pod<std::uint8_t>());
     }

@@ -7,6 +7,7 @@
 // the sparse delta crosses the wire.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -100,21 +101,33 @@ ByteBuffer TopKDeltaCodec::encode(const ModelParameters& params,
 ModelParameters TopKDeltaCodec::decode(const ByteBuffer& blob,
                                        const ModelParameters* reference) const {
   wire::Reader r(blob);
+  ModelParameters params;
   const std::uint32_t count =
-      wire::read_preamble(r, static_cast<std::uint8_t>(kind()));
+      wire::read_preamble(r, static_cast<std::uint8_t>(kind()), params);
   if (reference != nullptr && reference->entries().size() != count) {
     throw std::invalid_argument("TopKDeltaCodec: reference entry count");
   }
-  ModelParameters params;
-  params.mutable_entries().reserve(count);
   for (std::uint32_t n = 0; n < count; ++n) {
-    ParameterEntry e = wire::read_entry_meta(r);
+    wire::EntryMeta meta = wire::read_entry_meta(r);
+    ParameterEntry e;
     if (reference != nullptr) {
+      // The scatter target is a copy of the reference: compare shapes
+      // before allocating anything.
       const Tensor& ref = reference->entries()[n].value;
-      if (ref.shape() != e.value.shape()) {
+      if (ref.shape() != meta.shape) {
         throw std::invalid_argument("TopKDeltaCodec: reference shape");
       }
+      e.name = std::move(meta.name);
+      e.is_buffer = meta.is_buffer;
       e.value = ref;
+    } else {
+      // Indices are 32-bit on the wire: a larger tensor is unaddressable.
+      if (meta.shape.numel() >
+          static_cast<std::int64_t>(std::numeric_limits<std::uint32_t>::max()) +
+              1) {
+        throw std::runtime_error("TopKDeltaCodec: tensor exceeds index range");
+      }
+      e = wire::make_entry(std::move(meta));
     }
     const std::uint32_t nnz = r.pod<std::uint32_t>();
     for (std::uint32_t i = 0; i < nnz; ++i) {

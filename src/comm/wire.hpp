@@ -41,6 +41,20 @@ struct Reader {
   explicit Reader(const std::vector<std::uint8_t>& blob)
       : cursor(blob.data()), end(blob.data() + blob.size()) {}
 
+  std::size_t remaining() const {
+    return static_cast<std::size_t>(end - cursor);
+  }
+  // Throws unless `count` items of `item_bytes` each fit in the rest of
+  // the blob — checked before a decoder allocates for them, so a tiny
+  // hostile blob cannot demand a huge tensor.
+  void require(std::uint64_t count, std::size_t item_bytes) const {
+    if (count > remaining() / item_bytes) {
+      throw std::runtime_error("FLC1: payload of " + std::to_string(count) +
+                               " x " + std::to_string(item_bytes) +
+                               " bytes exceeds the blob");
+    }
+  }
+
   void bytes(void* dst, std::size_t n) {
     if (static_cast<std::size_t>(end - cursor) < n) {
       throw std::runtime_error("FLC1: truncated buffer");
@@ -67,13 +81,26 @@ struct Reader {
 // Magic + codec id + entry count.
 void write_preamble(Writer& w, std::uint8_t codec_id, std::uint32_t entries);
 // Verifies magic and that the blob was produced by `expected_codec`;
-// returns the entry count.
-std::uint32_t read_preamble(Reader& r, std::uint8_t expected_codec);
+// returns the entry count. Every entry costs at least its meta bytes,
+// so `params` gets room for no more entries than the blob could hold.
+std::uint32_t read_preamble(Reader& r, std::uint8_t expected_codec,
+                            ModelParameters& params);
 
 // Per-entry metadata: name, buffer flag, shape.
 void write_entry_meta(Writer& w, const ParameterEntry& entry);
-// Returns an entry with a zero-initialized tensor of the stored shape.
-ParameterEntry read_entry_meta(Reader& r);
+
+struct EntryMeta {
+  std::string name;
+  bool is_buffer = false;
+  Shape shape;
+};
+// Reads an entry's metadata without allocating its tensor: dims must
+// be non-negative and their product must not overflow.
+EntryMeta read_entry_meta(Reader& r);
+// The entry with a zero-initialized tensor of meta's shape. Callers
+// check the payload against the blob first (Reader::require); an
+// allocation failure still surfaces as the documented runtime_error.
+ParameterEntry make_entry(EntryMeta meta);
 
 }  // namespace wire
 }  // namespace fleda

@@ -400,11 +400,37 @@ std::vector<std::size_t> fold_lane_offsets(std::size_t n, std::size_t lanes) {
 }
 
 std::unique_ptr<StreamingAccumulator> AggregationRule::accumulator(
-    const ModelParameters& /*current*/, const ShardLayout& /*layout*/) const {
-  throw std::logic_error(
-      name() +
-      ": no streaming accumulator — this rule scores the cohort as a whole "
-      "(requires_dense() == true); callers must keep the batch path");
+    const ModelParameters& current) const {
+  return std::make_unique<BufferingAccumulator>(*this, current);
+}
+
+void BufferingAccumulator::fold(ModelParameters update, double weight,
+                                int staleness, int client) {
+  updates_.push_back(std::move(update));
+  weights_.push_back(weight);
+  staleness_.push_back(staleness);
+  clients_.push_back(client);
+}
+
+void BufferingAccumulator::merge(StreamingAccumulator& other) {
+  auto* peer = dynamic_cast<BufferingAccumulator*>(&other);
+  if (peer == nullptr || peer->rule_ != rule_) {
+    throw std::invalid_argument(
+        rule_->name() + ": merge with a different rule's accumulator");
+  }
+  for (std::size_t i = 0; i < peer->updates_.size(); ++i) {
+    fold(std::move(peer->updates_[i]), peer->weights_[i],
+         peer->staleness_[i], peer->clients_[i]);
+  }
+  *peer = BufferingAccumulator(*rule_, *peer->current_);
+}
+
+ModelParameters BufferingAccumulator::finish() {
+  std::vector<AggregationInput> cohort(updates_.size());
+  for (std::size_t i = 0; i < cohort.size(); ++i) {
+    cohort[i] = {&updates_[i], weights_[i], staleness_[i], clients_[i]};
+  }
+  return rule_->aggregate(*current_, cohort);
 }
 
 namespace {
@@ -463,15 +489,14 @@ void check_finish_total(const char* rule, std::size_t folds, double total) {
   }
 }
 
-// Runs fn(begin, end) over `shards` contiguous slices of [0, total).
-// Slices are a pure function of (total, shards) and every write inside
-// fn targets its own slice, so the split parallelizes element-wise
-// merge/finish work without affecting results. shards == 0 picks the
-// pool size; nested use (inside an outer parallel_for) degrades to the
+// Runs fn(begin, end) over one contiguous slice of [0, total) per pool
+// thread. Every write inside fn targets its own slice, so the split
+// parallelizes element-wise merge/finish work without affecting
+// results; nested use (inside an outer parallel_for) degrades to the
 // serial path via the pool's non-reentrancy.
-void for_each_shard(std::size_t total, std::size_t shards,
+void for_each_shard(std::size_t total,
                     const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (shards == 0) shards = ThreadPool::global().size();
+  const std::size_t shards = ThreadPool::global().size();
   if (shards <= 1 || total < 4096) {
     fn(0, total);
     return;
@@ -528,11 +553,11 @@ struct DoubleSums {
   }
 
   // acc += other.acc, element-wise across shards.
-  void add_sums(const DoubleSums& other, std::size_t shards) {
+  void add_sums(const DoubleSums& other) {
     for (std::size_t e = 0; e < acc.size(); ++e) {
       double* dst = acc[e].data();
       const double* src = other.acc[e].data();
-      for_each_shard(acc[e].size(), shards,
+      for_each_shard(acc[e].size(),
                      [dst, src](std::size_t begin, std::size_t end) {
                        for (std::size_t i = begin; i < end; ++i) {
                          dst[i] += src[i];
@@ -544,13 +569,13 @@ struct DoubleSums {
   // result[e][i] = base (or base[e][i]) + acc[e][i] * scale, written
   // into a copy of `shape`.
   ModelParameters render(const ModelParameters& shape, double scale,
-                         bool add_to_shape, std::size_t shards) const {
+                         bool add_to_shape) const {
     ModelParameters result = shape;
     for (std::size_t e = 0; e < acc.size(); ++e) {
       float* out = result.mutable_entries()[e].value.data();
       const double* sums = acc[e].data();
       for_each_shard(
-          acc[e].size(), shards,
+          acc[e].size(),
           [out, sums, scale, add_to_shape](std::size_t begin,
                                            std::size_t end) {
             for (std::size_t i = begin; i < end; ++i) {
@@ -568,9 +593,7 @@ struct DoubleSums {
 // weighted_average: acc = sum w_k p_k, finish = acc / total.
 class MeanStreamAccumulator final : public StreamingAccumulator {
  public:
-  explicit MeanStreamAccumulator(std::size_t shards) : shards_(shards) {}
-
-  void fold(const ModelParameters& update, double weight, int /*staleness*/,
+  void fold(ModelParameters update, double weight, int /*staleness*/,
             int client) override {
     ProfileScope prof(phase::kAggregate);
     check_fold("WeightedAverage", update, weight, client);
@@ -600,11 +623,11 @@ class MeanStreamAccumulator final : public StreamingAccumulator {
       folds_ = peer->folds_;
     } else {
       check_fold_structure("WeightedAverage", shape_, peer->shape_, -1);
-      sums_.add_sums(peer->sums_, shards_);
+      sums_.add_sums(peer->sums_);
       total_ += peer->total_;
       folds_ += peer->folds_;
     }
-    *peer = MeanStreamAccumulator(shards_);
+    *peer = MeanStreamAccumulator();
   }
 
   std::size_t folds() const override { return folds_; }
@@ -612,11 +635,10 @@ class MeanStreamAccumulator final : public StreamingAccumulator {
   ModelParameters finish() override {
     ProfileScope prof(phase::kAggregate);
     check_finish_total("WeightedAverage", folds_, total_);
-    return sums_.render(shape_, 1.0 / total_, /*add_to_shape=*/false, shards_);
+    return sums_.render(shape_, 1.0 / total_, /*add_to_shape=*/false);
   }
 
  private:
-  std::size_t shards_;
   ModelParameters shape_;
   DoubleSums sums_;
   double total_ = 0.0;
@@ -627,13 +649,12 @@ class MeanStreamAccumulator final : public StreamingAccumulator {
 // finish = current + acc / total. Holds `current` by reference.
 class ClippedStreamAccumulator final : public StreamingAccumulator {
  public:
-  ClippedStreamAccumulator(const ModelParameters& current, double clip_norm,
-                           std::size_t shards)
-      : current_(&current), clip_norm_(clip_norm), shards_(shards) {
+  ClippedStreamAccumulator(const ModelParameters& current, double clip_norm)
+      : current_(&current), clip_norm_(clip_norm) {
     sums_.init(current);
   }
 
-  void fold(const ModelParameters& update, double weight, int /*staleness*/,
+  void fold(ModelParameters update, double weight, int /*staleness*/,
             int client) override {
     ProfileScope prof(phase::kAggregate);
     check_fold("NormClippedMean", update, weight, client);
@@ -667,10 +688,10 @@ class ClippedStreamAccumulator final : public StreamingAccumulator {
           "NormClippedMean: merge with a different rule's accumulator");
     }
     if (peer->folds_ == 0) return;
-    sums_.add_sums(peer->sums_, shards_);
+    sums_.add_sums(peer->sums_);
     total_ += peer->total_;
     folds_ += peer->folds_;
-    *peer = ClippedStreamAccumulator(*peer->current_, clip_norm_, shards_);
+    *peer = ClippedStreamAccumulator(*peer->current_, clip_norm_);
   }
 
   std::size_t folds() const override { return folds_; }
@@ -678,14 +699,12 @@ class ClippedStreamAccumulator final : public StreamingAccumulator {
   ModelParameters finish() override {
     ProfileScope prof(phase::kAggregate);
     check_finish_total("NormClippedMean", folds_, total_);
-    return sums_.render(*current_, 1.0 / total_, /*add_to_shape=*/true,
-                        shards_);
+    return sums_.render(*current_, 1.0 / total_, /*add_to_shape=*/true);
   }
 
  private:
   const ModelParameters* current_;
   double clip_norm_;
-  std::size_t shards_;
   DoubleSums sums_;
   double total_ = 0.0;
   std::size_t folds_ = 0;
@@ -696,16 +715,12 @@ class ClippedStreamAccumulator final : public StreamingAccumulator {
 class MixStreamAccumulator final : public StreamingAccumulator {
  public:
   MixStreamAccumulator(const ModelParameters& current,
-                       const StalenessPolicy& staleness, double server_mix,
-                       std::size_t shards)
-      : current_(&current),
-        staleness_(staleness),
-        server_mix_(server_mix),
-        shards_(shards) {
+                       const StalenessPolicy& staleness, double server_mix)
+      : current_(&current), staleness_(staleness), server_mix_(server_mix) {
     sums_.init(current);
   }
 
-  void fold(const ModelParameters& update, double weight, int staleness,
+  void fold(ModelParameters update, double weight, int staleness,
             int client) override {
     ProfileScope prof(phase::kAggregate);
     check_fold("StalenessDiscountedMix", update, weight, client);
@@ -724,11 +739,10 @@ class MixStreamAccumulator final : public StreamingAccumulator {
           "StalenessDiscountedMix: merge with a different rule's accumulator");
     }
     if (peer->folds_ == 0) return;
-    sums_.add_sums(peer->sums_, shards_);
+    sums_.add_sums(peer->sums_);
     total_ += peer->total_;
     folds_ += peer->folds_;
-    *peer = MixStreamAccumulator(*peer->current_, staleness_, server_mix_,
-                                 shards_);
+    *peer = MixStreamAccumulator(*peer->current_, staleness_, server_mix_);
   }
 
   std::size_t folds() const override { return folds_; }
@@ -736,15 +750,13 @@ class MixStreamAccumulator final : public StreamingAccumulator {
   ModelParameters finish() override {
     ProfileScope prof(phase::kAggregate);
     check_finish_total("StalenessDiscountedMix", folds_, total_);
-    return sums_.render(*current_, server_mix_ / total_, /*add_to_shape=*/true,
-                        shards_);
+    return sums_.render(*current_, server_mix_ / total_, /*add_to_shape=*/true);
   }
 
  private:
   const ModelParameters* current_;
   StalenessPolicy staleness_;
   double server_mix_;
-  std::size_t shards_;
   DoubleSums sums_;
   double total_ = 0.0;
   std::size_t folds_ = 0;
@@ -762,14 +774,12 @@ class MixStreamAccumulator final : public StreamingAccumulator {
 class SketchStreamAccumulator final : public StreamingAccumulator {
  public:
   SketchStreamAccumulator(const char* rule, const ModelParameters& current,
-                          int bins, double span, double trim_fraction,
-                          std::size_t shards)
+                          int bins, double span, double trim_fraction)
       : rule_(rule),
         current_(&current),
         bins_(static_cast<std::size_t>(bins)),
         span_(span),
-        trim_fraction_(trim_fraction),
-        shards_(shards) {
+        trim_fraction_(trim_fraction) {
     counts_.assign(current.entries().size(), {});
     for (std::size_t e = 0; e < counts_.size(); ++e) {
       counts_[e].assign(
@@ -778,7 +788,7 @@ class SketchStreamAccumulator final : public StreamingAccumulator {
     }
   }
 
-  void fold(const ModelParameters& update, double weight, int /*staleness*/,
+  void fold(ModelParameters update, double weight, int /*staleness*/,
             int client) override {
     ProfileScope prof(phase::kAggregate);
     check_fold(rule_, update, weight, client);
@@ -815,7 +825,7 @@ class SketchStreamAccumulator final : public StreamingAccumulator {
     for (std::size_t e = 0; e < counts_.size(); ++e) {
       std::uint32_t* dst = counts_[e].data();
       const std::uint32_t* src = peer->counts_[e].data();
-      for_each_shard(counts_[e].size(), shards_,
+      for_each_shard(counts_[e].size(),
                      [dst, src](std::size_t begin, std::size_t end) {
                        for (std::size_t i = begin; i < end; ++i) {
                          dst[i] += src[i];
@@ -826,7 +836,7 @@ class SketchStreamAccumulator final : public StreamingAccumulator {
     folds_ += peer->folds_;
     *peer = SketchStreamAccumulator(rule_, *peer->current_,
                                     static_cast<int>(bins_), span_,
-                                    trim_fraction_, shards_);
+                                    trim_fraction_);
   }
 
   std::size_t folds() const override { return folds_; }
@@ -847,7 +857,7 @@ class SketchStreamAccumulator final : public StreamingAccumulator {
       const std::size_t nbins = bins_;
       const double span = span_;
       for_each_shard(
-          numel, shards_,
+          numel,
           [out, bins, numel, nbins, span, width, n, g,
            median](std::size_t begin, std::size_t end) {
             (void)numel;
@@ -903,7 +913,6 @@ class SketchStreamAccumulator final : public StreamingAccumulator {
   std::size_t bins_;
   double span_;
   double trim_fraction_;  // < 0 = median mode
-  std::size_t shards_;
   std::vector<std::vector<std::uint32_t>> counts_;
   double total_ = 0.0;
   std::size_t folds_ = 0;
@@ -923,38 +932,36 @@ void require_streaming_current(const char* rule,
 }  // namespace
 
 std::unique_ptr<StreamingAccumulator> WeightedAverage::accumulator(
-    const ModelParameters& /*current*/, const ShardLayout& layout) const {
-  return std::make_unique<MeanStreamAccumulator>(layout.shards);
+    const ModelParameters& /*current*/) const {
+  return std::make_unique<MeanStreamAccumulator>();
 }
 
 std::unique_ptr<StreamingAccumulator> NormClippedMean::accumulator(
-    const ModelParameters& current, const ShardLayout& layout) const {
+    const ModelParameters& current) const {
   require_streaming_current("NormClippedMean", current);
-  return std::make_unique<ClippedStreamAccumulator>(current, clip_norm_,
-                                                    layout.shards);
+  return std::make_unique<ClippedStreamAccumulator>(current, clip_norm_);
 }
 
 std::unique_ptr<StreamingAccumulator> StalenessDiscountedMix::accumulator(
-    const ModelParameters& current, const ShardLayout& layout) const {
+    const ModelParameters& current) const {
   require_streaming_current("StalenessDiscountedMix", current);
   return std::make_unique<MixStreamAccumulator>(current, staleness_,
-                                                server_mix_, layout.shards);
+                                                server_mix_);
 }
 
 std::unique_ptr<StreamingAccumulator> CoordinateMedian::accumulator(
-    const ModelParameters& current, const ShardLayout& layout) const {
+    const ModelParameters& current) const {
   require_streaming_current("CoordinateMedian", current);
   return std::make_unique<SketchStreamAccumulator>(
       "CoordinateMedian", current, sketch_bins_, sketch_span_,
-      /*trim_fraction=*/-1.0, layout.shards);
+      /*trim_fraction=*/-1.0);
 }
 
 std::unique_ptr<StreamingAccumulator> TrimmedMean::accumulator(
-    const ModelParameters& current, const ShardLayout& layout) const {
+    const ModelParameters& current) const {
   require_streaming_current("TrimmedMean", current);
   return std::make_unique<SketchStreamAccumulator>(
-      "TrimmedMean", current, sketch_bins_, sketch_span_, trim_fraction_,
-      layout.shards);
+      "TrimmedMean", current, sketch_bins_, sketch_span_, trim_fraction_);
 }
 
 namespace {

@@ -1,9 +1,16 @@
 // AggregationRule: the strategy that turns a cohort's updates into the
-// next server-side model. The weighted-average math used to live in
-// Server and the staleness-discount / server-mix math inside
-// AsyncFedAvg's round loop; both are now pluggable rules, so a new
-// aggregation scheme (median, trimmed mean, momentum server, ...)
-// plugs into every algorithm instead of forking one.
+// next server-side model. Weighted averaging, the robust rules and
+// AsyncFedAvg's staleness-discount / server-mix math are all pluggable
+// rules, so a new aggregation scheme (median, trimmed mean, momentum
+// server, ...) plugs into every algorithm instead of forking one.
+//
+// Every cohort reaches its rule through a StreamingAccumulator: the
+// round folds each decoded upload in as it arrives and finish()es once.
+// The default accumulator (BufferingAccumulator) keeps the cohort and
+// calls aggregate(), so buffered rounds are bit-identical to the dense
+// rule; rules with a streaming form override accumulator() with
+// O(model) state, which rounds use when AggregationConfig::streaming
+// is set.
 //
 // Two families ship:
 //   Averaging rules (folds_into_current() == false) — combine the
@@ -65,55 +72,48 @@ struct AggregationInput {
   int client = -1;
 };
 
-// Fixed fold-lane count of the streaming aggregation path. Lanes — not
-// thread-pool chunks — are the unit of parallel folding: the cohort is
-// partitioned into kFoldLanes contiguous blocks, each lane folds its
-// block serially in cohort order into its own accumulator, and the
-// coordinator merges the lanes in lane order. Because the partition and
-// both fold/merge orders are pure functions of the cohort (never of
-// thread scheduling), streaming results are bit-identical across
-// thread-pool sizes.
+// Fixed fold-lane count of a round that folds through the rules'
+// native (streaming) accumulators. Lanes — not thread-pool chunks —
+// are the unit of parallel folding: the cohort is partitioned into
+// kFoldLanes contiguous blocks, each lane folds its block serially in
+// cohort order into its own accumulator, and the coordinator merges the
+// lanes in lane order. Because the partition and both fold/merge orders
+// are pure functions of the cohort (never of thread scheduling),
+// streaming results are bit-identical across thread-pool sizes.
 inline constexpr std::size_t kFoldLanes = 8;
-
-// How a streaming aggregation is laid out: how many folds to expect,
-// how many parallel fold lanes feed partial accumulators, and how many
-// parameter shards the (element-wise) merge/finish passes may split
-// the model into. Shards only parallelize element-wise work, so the
-// result is shard-count invariant by construction — FLEDA_AGG_SHARDS
-// is a parallelism knob, not a semantics knob.
-struct ShardLayout {
-  std::size_t cohort_size = 0;    // expected folds; 0 = unknown
-  std::size_t lanes = kFoldLanes; // partial accumulators folded in parallel
-  std::size_t shards = 0;         // merge/finish parallelism; 0 = auto
-};
 
 // Half-open lane boundaries over [0, n): lanes + 1 offsets with lane l
 // covering [offsets[l], offsets[l + 1]). Pure function of (n, lanes) —
-// the streaming path's determinism rests on these bounds never
-// depending on the thread pool.
+// the round body's determinism rests on these bounds never depending
+// on the thread pool.
 std::vector<std::size_t> fold_lane_offsets(std::size_t n, std::size_t lanes);
 
-// One partial accumulator of a streaming aggregation: updates are
-// folded in one at a time (and can be freed by the caller immediately
-// after), sibling lanes are merged in lane order, and finish() emits
-// the aggregated model. Obtained from AggregationRule::accumulator();
-// not thread-safe — each lane owns one, and merge()/finish() run on
-// the coordinator after all folds complete. Server memory for a round
-// becomes O(lanes x model) (plus O(shards x threads) transient scratch
-// in finish), independent of cohort size.
+class AggregationRule;
+
+// One partial accumulator of an aggregation: updates are folded in one
+// at a time (the accumulator takes ownership of each), sibling lanes
+// are merged in lane order, and finish() emits the aggregated model.
+// Every cohort reaches its AggregationRule through one of these
+// (AggregationRule::accumulator() or BufferingAccumulator); not
+// thread-safe — each lane owns one, and merge()/finish() run on the
+// coordinator after all folds complete. Merge/finish split their
+// element-wise work across the thread pool on their own; the split
+// never changes results.
 class StreamingAccumulator {
  public:
   virtual ~StreamingAccumulator() = default;
 
-  // Folds one client's contribution. Mirrors the dense rules' guards:
-  // throws std::invalid_argument on a null-structure/NaN/Inf update, a
-  // negative or non-finite weight, or a structure mismatch, naming
-  // `client` (negative = unknown). `staleness` feeds mixing rules'
-  // discount; synchronous callers pass 0.
-  virtual void fold(const ModelParameters& update, double weight,
-                    int staleness, int client) = 0;
+  // Folds one client's contribution. Native accumulators mirror the
+  // dense rules' guards here: throw std::invalid_argument on an
+  // empty/NaN/Inf update, a negative or non-finite weight, or a
+  // structure mismatch, naming `client` (negative = unknown). The
+  // buffering accumulator defers all validation to the rule's
+  // aggregate() in finish(). `staleness` feeds mixing rules' discount;
+  // synchronous callers pass 0.
+  virtual void fold(ModelParameters update, double weight, int staleness,
+                    int client) = 0;
 
-  // Absorbs a sibling lane's partials (same rule, same layout). The
+  // Absorbs a sibling lane's partials (same rule, same anchor). The
   // caller merges lanes in ascending lane order; `other` is left empty.
   virtual void merge(StreamingAccumulator& other) = 0;
 
@@ -125,6 +125,41 @@ class StreamingAccumulator {
   // The aggregated model. Throws like the dense rules on zero folds or
   // a zero/non-finite total weight. Call once, after all merges.
   virtual ModelParameters finish() = 0;
+};
+
+// The generic accumulator: keeps every folded update, in fold order
+// (cohort order once lanes merge ascending), and finish() hands them to
+// the rule's own aggregate() — so a buffered round is bit-identical to
+// aggregating the materialized cohort. It is every rule's default
+// accumulator(), the only form for rules that score the cohort as a
+// whole (Krum), and what a round uses whenever it does not opt into
+// streaming or needs the cohort itself (anomaly detection, FedProx-LG,
+// alpha-portion sync). `rule` and `current` must outlive it.
+class BufferingAccumulator final : public StreamingAccumulator {
+ public:
+  BufferingAccumulator(const AggregationRule& rule,
+                       const ModelParameters& current)
+      : rule_(&rule), current_(&current) {}
+
+  void fold(ModelParameters update, double weight, int staleness,
+            int client) override;
+  void merge(StreamingAccumulator& other) override;
+  std::size_t folds() const override { return updates_.size(); }
+  // rule.aggregate(current, buffered cohort). The buffer stays readable.
+  ModelParameters finish() override;
+
+  // The buffered updates and their senders, in fold order. Callers may
+  // edit or move the updates out (after finish(), if they finish).
+  std::vector<ModelParameters>& updates() { return updates_; }
+  const std::vector<int>& clients() const { return clients_; }
+
+ private:
+  const AggregationRule* rule_;
+  const ModelParameters* current_;
+  std::vector<ModelParameters> updates_;
+  std::vector<double> weights_;
+  std::vector<int> staleness_;
+  std::vector<int> clients_;
 };
 
 class AggregationRule {
@@ -139,21 +174,16 @@ class AggregationRule {
   // apply a rule to their buffered deltas.
   virtual bool folds_into_current() const { return false; }
 
-  // Whether the rule needs the whole cohort materialized at once.
-  // Krum-family rules score pairwise distances and keep the batch
-  // path; rules with a streaming form (weighted_average,
-  // norm_clipped_mean, staleness_mix natively; coordinate_median /
-  // trimmed_mean via a histogram sketch) return false and implement
-  // accumulator().
-  virtual bool requires_dense() const { return true; }
-
   // A fresh partial accumulator for one fold lane. `current` is the
   // model being replaced (the delta/clipping reference; it must
   // outlive the accumulator — round loops keep the global model alive
-  // across the round). Default: throws std::logic_error — callers must
-  // check requires_dense() first.
+  // across the round). Default: a BufferingAccumulator over this rule.
+  // Rules with a streaming form (weighted_average, norm_clipped_mean,
+  // staleness_mix natively; coordinate_median / trimmed_mean via a
+  // histogram sketch) override it with O(model) state; Krum-family
+  // rules score pairwise distances and keep the default.
   virtual std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const;
+      const ModelParameters& current) const;
 
   // Combines the cohort into the next model. `current` is the model
   // being replaced; plain averaging rules ignore it, clipping rules use
@@ -169,14 +199,13 @@ class AggregationRule {
 class WeightedAverage : public AggregationRule {
  public:
   std::string name() const override { return "weighted_average"; }
-  bool requires_dense() const override { return false; }
   // Streaming form: per-coordinate double running sums of w_k * w^k
   // plus a scalar total weight; finish() scales by 1 / total. Exact up
   // to summation order (doubles absorb the reassociation), so it
   // matches the dense rule to float rounding, not bit-for-bit — which
   // is why streaming is opt-in.
   std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const override;
+      const ModelParameters& current) const override;
   ModelParameters aggregate(
       const ModelParameters& current,
       const std::vector<AggregationInput>& cohort) const override;
@@ -193,7 +222,6 @@ class CoordinateMedian : public AggregationRule {
   explicit CoordinateMedian(int sketch_bins = 32, double sketch_span = 0.25);
 
   std::string name() const override { return "coordinate_median"; }
-  bool requires_dense() const override { return false; }
   // Streaming form: a per-coordinate fixed-bin histogram sketch over
   // [current[c] - span, current[c] + span] (values outside clamp to the
   // edge bins); finish() reads the median off the bin ranks, answering
@@ -202,7 +230,7 @@ class CoordinateMedian : public AggregationRule {
   // bin counts merge exactly, so the sketch stays deterministic across
   // lane/shard layouts.
   std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const override;
+      const ModelParameters& current) const override;
   ModelParameters aggregate(
       const ModelParameters& current,
       const std::vector<AggregationInput>& cohort) const override;
@@ -226,12 +254,11 @@ class TrimmedMean : public AggregationRule {
 
   std::string name() const override { return "trimmed_mean"; }
   double trim_fraction() const { return trim_fraction_; }
-  bool requires_dense() const override { return false; }
   // Streaming form: the same histogram sketch as CoordinateMedian;
   // finish() averages the mass of ranks [g, n - g) per coordinate by
   // walking the bins' cumulative counts (bucket midpoints as values).
   std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const override;
+      const ModelParameters& current) const override;
   ModelParameters aggregate(
       const ModelParameters& current,
       const std::vector<AggregationInput>& cohort) const override;
@@ -254,13 +281,12 @@ class NormClippedMean : public AggregationRule {
 
   std::string name() const override { return "norm_clipped_mean"; }
   double clip_norm() const { return clip_norm_; }
-  bool requires_dense() const override { return false; }
   // Streaming form: fold computes the clipped delta against `current`
   // immediately (clip factor needs only the one update) and running-sums
   // w_k * clip_k * delta_k in doubles; finish() adds the scaled sum back
   // onto `current`. `current` must outlive the accumulator.
   std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const override;
+      const ModelParameters& current) const override;
   ModelParameters aggregate(
       const ModelParameters& current,
       const std::vector<AggregationInput>& cohort) const override;
@@ -343,12 +369,11 @@ class StalenessDiscountedMix : public AggregationRule {
 
   std::string name() const override { return "staleness_mix"; }
   bool folds_into_current() const override { return true; }
-  bool requires_dense() const override { return false; }
   // Streaming form: folds are DELTAS (like aggregate()'s cohort);
   // running sum of u_i * d_i with u_i = weight * s(staleness); finish()
   // returns current + server_mix * sum / total_u.
   std::unique_ptr<StreamingAccumulator> accumulator(
-      const ModelParameters& current, const ShardLayout& layout) const override;
+      const ModelParameters& current) const override;
   ModelParameters aggregate(
       const ModelParameters& current,
       const std::vector<AggregationInput>& cohort) const override;
@@ -379,15 +404,14 @@ struct AggregationConfig {
   // means configuring it here.
   StalenessPolicy staleness;
   double server_mix = 0.5;
-  // Route round loops through the StreamingAccumulator path when the
-  // rule supports it (requires_dense() == false). Off by default: the
-  // streaming math reassociates sums (double partials), so results
-  // match dense to float rounding but not bit-for-bit, and the dense
-  // K = 1000 reference fingerprint must not move.
+  // Fold rounds through the rule's native accumulator() (O(lanes x
+  // model) server memory, kFoldLanes-way folding) instead of the
+  // buffering one. Off by default: the streaming math reassociates
+  // sums (double partials), so results match the buffered rule to
+  // float rounding but not bit-for-bit, and the K = 1000 reference
+  // fingerprint must not move. Ignored (buffering) while an anomaly
+  // detector is on or the algorithm reads the cohort's updates itself.
   bool streaming = false;
-  // Merge/finish element-wise parallelism for the streaming path
-  // (FLEDA_AGG_SHARDS). 0 = auto. Never changes results.
-  std::size_t shards = 0;
   // Histogram-sketch resolution for streaming coordinate_median /
   // trimmed_mean: bins per coordinate and the half-width of the sketch
   // window around the current model. Worst-case in-span quantile error

@@ -16,13 +16,13 @@ std::vector<ModelParameters> AlphaPortionSync::run_rounds(
   Rng rng(opts.seed);
   const ModelParameters initial = initial_model_parameters(factory, rng);
 
-  const std::vector<double> weights = Server::client_weights(clients);
+  const std::vector<double> weights = client_weights(clients);
   // With a configured rule, each member's (1 - alpha) share comes from
   // the rule applied to the OTHER cohort members' updates (a robust
   // consensus of the peers) instead of their plain weighted average.
   // Empty = the historical inline mixing, bit-for-bit.
-  const std::unique_ptr<AggregationRule> rule =
-      opts.aggregation.rule.empty() ? nullptr : sync_aggregation_rule(opts);
+  const bool custom_rule = !opts.aggregation.rule.empty();
+  const std::unique_ptr<AggregationRule> rule = sync_aggregation_rule(opts);
 
   // Per-client deployed models W_k; all start from the common init.
   std::vector<ModelParameters> deployed(clients.size(), initial);
@@ -33,8 +33,11 @@ std::vector<ModelParameters> AlphaPortionSync::run_rounds(
     std::vector<const ModelParameters*> deployed_ptrs;
     deployed_ptrs.reserve(cohort.size());
     for (std::size_t k : cohort) deployed_ptrs.push_back(&deployed[k]);
-    std::vector<ModelParameters> updates =
-        cohort_local_updates(clients, cohort, deployed_ptrs, opts.client, sim);
+    // The mix reads the cohort's updates, so the round buffers them
+    // (never finished: each member gets its own mix below).
+    const std::unique_ptr<BufferingAccumulator> round = buffered_round(
+        clients, cohort, deployed_ptrs, *rule, initial, opts.client, sim);
+    const std::vector<ModelParameters>& updates = round->updates();
 
     // The mixing below bypasses the AggregationRule guards, so screen
     // the cohort's updates for non-finite values here — a poisoned
@@ -55,7 +58,7 @@ std::vector<ModelParameters> AlphaPortionSync::run_rounds(
     double cohort_total = 0.0;
     for (std::size_t k : cohort) cohort_total += weights[k];
     std::vector<ModelParameters> mixed(cohort.size());
-    if (opts.aggregation.streaming && rule == nullptr) {
+    if (opts.aggregation.streaming && !custom_rule) {
       // Streaming-era fast path for the default mix: one shared sum
       // S = sum_j w_j u_j turns each member's peer average into
       // (S - w_i u_i) / others_total, so the round is O(n) model adds
@@ -102,7 +105,7 @@ std::vector<ModelParameters> AlphaPortionSync::run_rounds(
       }
       ModelParameters m = updates[i];
       m.scale(alpha_);
-      if (rule != nullptr) {
+      if (custom_rule) {
         // Robust peer consensus: the configured rule over the other
         // members' updates, anchored at this member's previous model
         // (the delta reference for clipping rules).

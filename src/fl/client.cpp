@@ -169,4 +169,13 @@ double Client::evaluate_test_auc(const ModelParameters& params) {
   return auc.auc();
 }
 
+std::vector<double> client_weights(const std::vector<Client>& clients) {
+  std::vector<double> weights;
+  weights.reserve(clients.size());
+  for (const Client& c : clients) {
+    weights.push_back(static_cast<double>(c.num_train()));
+  }
+  return weights;
+}
+
 }  // namespace fleda

@@ -112,4 +112,8 @@ class Client {
   AdamMoments adam_moments_;
 };
 
+// Sample-count weights n_k for a set of clients — the FedAvg weight
+// of W^{r+1} = sum_k (n_k / n) w_k.
+std::vector<double> client_weights(const std::vector<Client>& clients);
+
 }  // namespace fleda

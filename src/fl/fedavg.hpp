@@ -1,21 +1,18 @@
 // FedAvg (McMahan et al. 2017): the baseline FL round loop of Fig. 1
-// with plain local SGD/Adam training (no proximal term). Included for
-// the convergence-comparison bench; the paper builds on FedProx.
+// with plain local SGD/Adam training — FedProx's round with the
+// proximal term forced off (mu = 0). Included for the
+// convergence-comparison bench; the paper builds on FedProx.
 #pragma once
 
-#include "fl/trainer.hpp"
+#include "fl/fedprox.hpp"
 
 namespace fleda {
 
-class FedAvg : public FederatedAlgorithm {
+class FedAvg : public FedProx {
  public:
-  std::string name() const override { return "FedAvg"; }
+  FedAvg() : FedProx(/*proximal=*/false) {}
 
- protected:
-  std::vector<ModelParameters> run_rounds(
-      std::vector<Client>& clients, const ModelFactory& factory,
-      const FLRunOptions& opts, FederationSim& sim,
-      ParticipationPolicy& participation) override;
+  std::string name() const override { return "FedAvg"; }
 };
 
 }  // namespace fleda

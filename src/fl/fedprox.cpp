@@ -1,5 +1,7 @@
 #include "fl/fedprox.hpp"
 
+#include <utility>
+
 namespace fleda {
 
 std::vector<ModelParameters> FedProx::run_rounds(
@@ -9,30 +11,25 @@ std::vector<ModelParameters> FedProx::run_rounds(
   Rng rng(opts.seed);
   ModelParameters global = initial_model_parameters(factory, rng);
 
-  const std::vector<double> weights = Server::client_weights(clients);
+  ClientTrainConfig cfg = opts.client;
+  if (!proximal_) cfg.mu = 0.0;
   const std::unique_ptr<AggregationRule> rule = sync_aggregation_rule(opts);
-  const bool streaming = streaming_rounds(opts, *rule, sim);
   for (int r = 0; r < opts.rounds; ++r) {
     const std::vector<std::size_t> cohort =
         select_cohort(participation, r, clients.size(), opts, sim);
-    if (streaming) {
-      global = streaming_cohort_round(
-          clients, cohort, global, Server::cohort_weights(weights, cohort),
-          *rule, opts.aggregation, opts.client, sim);
-    } else {
-      std::vector<const ModelParameters*> deployed(cohort.size(), &global);
-      std::vector<ModelParameters> updates =
-          cohort_local_updates(clients, cohort, deployed, opts.client, sim);
-      global =
-          Server::aggregate(*rule, global, updates,
-                            Server::cohort_weights(weights, cohort), cohort);
-    }
+    const std::vector<const ModelParameters*> deployed(cohort.size(), &global);
+    global = sync_round(clients, cohort,
+                        sim.channel().broadcast(deployed, cohort), *rule,
+                        {&global}, {}, cfg, opts.aggregation, sim)
+                 .front()
+                 ->finish();
     if (opts.on_round) {
       opts.on_round(r, std::vector<ModelParameters>(clients.size(), global));
     }
   }
-  global_ = global;
-  return std::vector<ModelParameters>(clients.size(), global);
+  std::vector<ModelParameters> finals(clients.size(), global);
+  global_ = std::move(global);
+  return finals;
 }
 
 }  // namespace fleda

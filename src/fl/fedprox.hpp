@@ -11,6 +11,8 @@ namespace fleda {
 
 class FedProx : public FederatedAlgorithm {
  public:
+  FedProx() = default;
+
   std::string name() const override { return "FedProx"; }
 
   // The final aggregated global model of the last run (useful for
@@ -18,12 +20,16 @@ class FedProx : public FederatedAlgorithm {
   const ModelParameters& global_model() const { return global_; }
 
  protected:
+  // proximal = false forces mu = 0 (FedAvg).
+  explicit FedProx(bool proximal) : proximal_(proximal) {}
+
   std::vector<ModelParameters> run_rounds(
       std::vector<Client>& clients, const ModelFactory& factory,
       const FLRunOptions& opts, FederationSim& sim,
       ParticipationPolicy& participation) override;
 
  private:
+  bool proximal_ = true;
   ModelParameters global_;
 };
 

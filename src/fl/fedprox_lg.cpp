@@ -14,7 +14,6 @@ std::vector<ModelParameters> FedProxLG::run_rounds(
   std::vector<ModelParameters> client_state(clients.size(), global);
   auto is_global = [this](const std::string& n) { return !is_local_(n); };
 
-  const std::vector<double> weights = Server::client_weights(clients);
   const std::unique_ptr<AggregationRule> rule = sync_aggregation_rule(opts);
   for (int r = 0; r < opts.rounds; ++r) {
     const std::vector<std::size_t> cohort =
@@ -29,17 +28,15 @@ std::vector<ModelParameters> FedProxLG::run_rounds(
     std::vector<const ModelParameters*> deployed;
     for (const auto& d : deployed_storage) deployed.push_back(&d);
 
-    std::vector<ModelParameters> updates =
-        cohort_local_updates(clients, cohort, deployed, opts.client, sim);
+    std::unique_ptr<BufferingAccumulator> round =
+        buffered_round(clients, cohort, deployed, *rule, global, opts.client,
+                       sim);
 
     // Server aggregates only the cohort's global parts; local parts
     // stay put on every client.
-    ModelParameters aggregate = Server::aggregate(
-        *rule, global, updates, Server::cohort_weights(weights, cohort),
-        cohort);
-    global = global.merged_with(aggregate, is_global);
+    global = global.merged_with(round->finish(), is_global);
     for (std::size_t i = 0; i < cohort.size(); ++i) {
-      client_state[cohort[i]] = std::move(updates[i]);
+      client_state[cohort[i]] = std::move(round->updates()[i]);
     }
 
     if (opts.on_round) {

@@ -209,4 +209,21 @@ ModelParameters initial_model_parameters(const ModelFactory& factory,
   return ModelParameters::from_model(*init);
 }
 
+std::uint64_t finals_checksum(const std::vector<ModelParameters>& finals) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const ModelParameters& p : finals) {
+    for (const ParameterEntry& e : p.entries()) {
+      const unsigned char* bytes =
+          reinterpret_cast<const unsigned char*>(e.value.data());
+      const std::int64_t n = e.value.numel() *
+                             static_cast<std::int64_t>(sizeof(float));
+      for (std::int64_t i = 0; i < n; ++i) {
+        h ^= bytes[i];
+        h *= 1099511628211ull;
+      }
+    }
+  }
+  return h;
+}
+
 }  // namespace fleda

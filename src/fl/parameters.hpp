@@ -9,6 +9,7 @@
 // instability the paper's FLNet design sidesteps.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -96,5 +97,10 @@ bool is_output_layer_param(const std::string& name);
 // scratch-model pool.
 ModelParameters initial_model_parameters(const ModelFactory& factory,
                                          Rng& rng);
+
+// FNV-1a over every tensor byte of `finals`, in order — the
+// cross-version fingerprint benches print and golden tests pin (a
+// refactor that claims bit-identical results must leave it unchanged).
+std::uint64_t finals_checksum(const std::vector<ModelParameters>& finals);
 
 }  // namespace fleda

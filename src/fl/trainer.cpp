@@ -1,11 +1,11 @@
 #include "fl/trainer.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/telemetry.hpp"
-#include "util/thread_pool.hpp"
 
 namespace fleda {
 
@@ -119,41 +119,12 @@ std::vector<std::size_t> FederatedAlgorithm::select_cohort(
   return participation.select(ctx);
 }
 
-std::vector<ModelParameters> FederatedAlgorithm::parallel_local_updates(
-    std::vector<Client>& clients,
-    const std::vector<const ModelParameters*>& deployed,
-    const ClientTrainConfig& cfg) {
-  if (clients.size() != deployed.size()) {
-    throw std::invalid_argument("parallel_local_updates: size mismatch");
-  }
-  std::vector<ModelParameters> updates(clients.size());
-  parallel_for(clients.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t k = begin; k < end; ++k) {
-      updates[k] = clients[k].local_update(*deployed[k], cfg);
-    }
-  });
-  return updates;
-}
-
-std::vector<ModelParameters> FederatedAlgorithm::parallel_local_updates(
-    std::vector<Client>& clients,
-    const std::vector<const ModelParameters*>& deployed,
-    const ClientTrainConfig& cfg, FederationSim& sim) {
-  if (clients.size() != deployed.size()) {
-    throw std::invalid_argument("parallel_local_updates: size mismatch");
-  }
-  std::vector<std::size_t> everyone(clients.size());
-  for (std::size_t k = 0; k < everyone.size(); ++k) everyone[k] = k;
-  return cohort_local_updates(clients, everyone, deployed, cfg, sim);
-}
-
 namespace {
 
-// Shared by the dense and streaming round bodies. The channel's
-// parallel encode/decode touches per-client state (error-feedback
-// residuals, downlink references), which is only safe for distinct
-// indices — require the policies' strictly ascending order instead of
-// racing on duplicates.
+// The channel's parallel encode/decode touches per-client state
+// (error-feedback residuals, downlink references), which is only safe
+// for distinct indices — require the policies' strictly ascending
+// order instead of racing on duplicates.
 void validate_cohort(const char* where, std::size_t num_clients,
                      const std::vector<std::size_t>& cohort) {
   for (std::size_t i = 0; i < cohort.size(); ++i) {
@@ -207,100 +178,59 @@ void record_cohort_telemetry(FederationSim& sim,
 
 }  // namespace
 
-std::vector<ModelParameters> FederatedAlgorithm::cohort_local_updates(
+bool FederatedAlgorithm::native_folding(const AggregationConfig& agg,
+                                        const FederationSim& sim) {
+  return agg.streaming && sim.anomaly_detector() == nullptr;
+}
+
+std::vector<std::unique_ptr<StreamingAccumulator>>
+FederatedAlgorithm::sync_round(
     std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
-    const std::vector<const ModelParameters*>& deployed,
-    const ClientTrainConfig& cfg, FederationSim& sim) {
-  if (cohort.size() != deployed.size()) {
-    throw std::invalid_argument("cohort_local_updates: size mismatch");
+    const std::vector<std::shared_ptr<const ModelParameters>>& received,
+    const AggregationRule& rule,
+    const std::vector<const ModelParameters*>& anchors,
+    const std::vector<std::size_t>& group_of, const ClientTrainConfig& cfg,
+    const AggregationConfig& agg, FederationSim& sim) {
+  const std::size_t n = cohort.size();
+  if (received.size() != n || (!group_of.empty() && group_of.size() != n)) {
+    throw std::invalid_argument("sync_round: size mismatch");
   }
-  validate_cohort("cohort_local_updates", clients.size(), cohort);
+  validate_cohort("sync_round", clients.size(), cohort);
+  for (std::size_t g : group_of) {
+    if (g >= anchors.size()) throw std::out_of_range("sync_round: group");
+  }
+  const bool native = native_folding(agg, sim);
+  const std::size_t lanes =
+      native ? kFoldLanes : std::max<std::size_t>(n, 1);
+  std::vector<std::vector<std::unique_ptr<StreamingAccumulator>>> accs(lanes);
+  for (auto& lane : accs) {
+    for (const ModelParameters* anchor : anchors) {
+      lane.push_back(native ? rule.accumulator(*anchor)
+                            : std::make_unique<BufferingAccumulator>(rule,
+                                                                     *anchor));
+    }
+  }
   Channel& channel = sim.channel();
-  // Downlink: cohort members train from what they decode, not from the
-  // server-side snapshot — a lossy codec's error feeds into training.
-  const std::vector<std::shared_ptr<const ModelParameters>> received =
-      channel.broadcast(deployed, cohort);
   // Byzantine behaviors fire between training and upload: a
   // compromised client trains honestly (its rng stream is unchanged)
   // and corrupts what it sends. Completed channel rounds disambiguate
   // repeated attacks by the same client (the noise-stream nonce).
   const std::uint64_t round_nonce = channel.stats().rounds.size();
   std::vector<AttackState*> attack_states = gather_attack_states(sim, cohort);
-  std::vector<ModelParameters> updates(cohort.size());
-  parallel_for(cohort.size(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t k = cohort[i];
-      updates[i] = clients[k].local_update(*received[i], cfg);
-      const AttackSpec& attack = sim.engine().profile(k).attack;
-      if (attack.kind != AttackKind::kNone) {
-        updates[i] = apply_attack(attack, std::move(updates[i]), *received[i],
-                                  k, round_nonce, attack_states[i]);
-      }
-    }
-  });
   // Uplink: the decoded deployment is the shared reference for delta
   // codecs (both sides hold it).
-  std::vector<const ModelParameters*> references;
-  references.reserve(received.size());
-  for (const auto& r : received) references.push_back(r.get());
-  // Handing `updates` over lets the channel drop each raw update right
-  // after its wire roundtrip — without the move the round briefly held
-  // two full cohorts (raw + decoded), a 2x spike at exactly the
-  // all-cohorts-resident peak.
-  std::vector<ModelParameters> collected =
-      channel.collect(std::move(updates), references, cohort);
-  // Server-side detection sees exactly what the aggregator will see:
-  // the collected (decoded) updates against the deployed references.
-  sim.observe_cohort_updates(cohort, collected, references);
-  record_cohort_telemetry(sim, cohort);
-  // Barrier policy: the round's events run on the virtual clock and
-  // the round closes at the slowest cohort member's upload.
-  sim.finish_sync_round(cfg.steps, cohort);
-  return collected;
-}
-
-bool FederatedAlgorithm::streaming_rounds(const FLRunOptions& opts,
-                                          const AggregationRule& rule,
-                                          const FederationSim& sim) {
-  return opts.aggregation.streaming && !rule.requires_dense() &&
-         sim.anomaly_detector() == nullptr;
-}
-
-ModelParameters FederatedAlgorithm::streaming_cohort_round(
-    std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
-    const ModelParameters& global, const std::vector<double>& cohort_weights,
-    const AggregationRule& rule, const AggregationConfig& agg,
-    const ClientTrainConfig& cfg, FederationSim& sim) {
-  if (cohort.size() != cohort_weights.size()) {
-    throw std::invalid_argument("streaming_cohort_round: size mismatch");
+  std::vector<const ModelParameters*> references(n);
+  std::vector<double> weights(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    references[i] = received[i].get();
+    weights[i] = static_cast<double>(clients[cohort[i]].num_train());
   }
-  validate_cohort("streaming_cohort_round", clients.size(), cohort);
-  Channel& channel = sim.channel();
-  const std::vector<const ModelParameters*> deployed(cohort.size(), &global);
-  const std::vector<std::shared_ptr<const ModelParameters>> received =
-      channel.broadcast(deployed, cohort);
-  const std::uint64_t round_nonce = channel.stats().rounds.size();
-  std::vector<AttackState*> attack_states = gather_attack_states(sim, cohort);
-  std::vector<const ModelParameters*> references;
-  references.reserve(received.size());
-  for (const auto& r : received) references.push_back(r.get());
-  ShardLayout layout;
-  layout.cohort_size = cohort.size();
-  layout.lanes = kFoldLanes;
-  layout.shards = agg.shards;
-  const std::vector<std::size_t> lanes =
-      fold_lane_offsets(cohort.size(), layout.lanes);
-  std::vector<std::unique_ptr<StreamingAccumulator>> accs(layout.lanes);
-  for (std::size_t l = 0; l < accs.size(); ++l) {
-    accs[l] = rule.accumulator(global, layout);
-  }
-  // Each cohort member trains inside its fold lane (produce), so lane
-  // count is also the round's training parallelism; the decoded upload
-  // folds into the lane's accumulator (consume) and is freed before
-  // the lane's next member starts. At no point does more than
-  // lanes x (1 update + 1 accumulator) live on the server.
+  // Each member trains inside its lane (produce) from what it decoded —
+  // a lossy downlink's error feeds into training — and its decoded
+  // upload folds into its group's lane accumulator (consume) before the
+  // lane's next member starts.
   channel.collect_streaming(
-      cohort, references, lanes,
+      cohort, references, fold_lane_offsets(n, lanes),
       [&](std::size_t i) {
         const std::size_t k = cohort[i];
         ModelParameters update = clients[k].local_update(*received[i], cfg);
@@ -312,16 +242,64 @@ ModelParameters FederatedAlgorithm::streaming_cohort_round(
         return update;
       },
       [&](std::size_t lane, std::size_t i, ModelParameters&& decoded) {
-        accs[lane]->fold(decoded, cohort_weights[i], /*staleness=*/0,
-                         static_cast<int>(cohort[i]));
+        const std::size_t g = group_of.empty() ? 0 : group_of[i];
+        accs[lane][g]->fold(std::move(decoded), weights[i], /*staleness=*/0,
+                            static_cast<int>(cohort[i]));
       });
-  record_cohort_telemetry(sim, cohort);
-  sim.finish_sync_round(cfg.steps, cohort);
   // Lane order is the merge order — part of the deterministic contract.
+  std::vector<std::unique_ptr<StreamingAccumulator>> groups =
+      std::move(accs[0]);
   for (std::size_t l = 1; l < accs.size(); ++l) {
-    accs[0]->merge(*accs[l]);
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      groups[g]->merge(*accs[l][g]);
+    }
   }
-  return accs[0]->finish();
+  if (sim.anomaly_detector() != nullptr) {
+    // A detector pins buffering (native_folding), so the groups hold
+    // the decoded cohort: detection sees exactly what the aggregator
+    // will, read back in cohort order, against the deployed references.
+    std::vector<const ModelParameters*> seen(n);
+    std::vector<std::size_t> next(groups.size(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t g = group_of.empty() ? 0 : group_of[i];
+      seen[i] = &static_cast<BufferingAccumulator&>(*groups[g])
+                     .updates()[next[g]++];
+    }
+    sim.observe_cohort_updates(cohort, seen, references);
+  }
+  record_cohort_telemetry(sim, cohort);
+  // Barrier policy: the round's events run on the virtual clock and
+  // the round closes at the slowest cohort member's upload.
+  sim.finish_sync_round(cfg.steps, cohort);
+  return groups;
+}
+
+void FederatedAlgorithm::sync_group_round(
+    std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
+    const std::vector<std::shared_ptr<const ModelParameters>>& received,
+    const AggregationRule& rule, const std::vector<std::size_t>& group_of,
+    std::vector<ModelParameters>& models, const ClientTrainConfig& cfg,
+    const AggregationConfig& agg, FederationSim& sim) {
+  std::vector<const ModelParameters*> anchors;
+  for (const ModelParameters& m : models) anchors.push_back(&m);
+  std::vector<std::unique_ptr<StreamingAccumulator>> groups = sync_round(
+      clients, cohort, received, rule, anchors, group_of, cfg, agg, sim);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    if (groups[g]->folds() > 0) models[g] = groups[g]->finish();
+  }
+}
+
+std::unique_ptr<BufferingAccumulator> FederatedAlgorithm::buffered_round(
+    std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
+    const std::vector<const ModelParameters*>& deployed,
+    const AggregationRule& rule, const ModelParameters& anchor,
+    const ClientTrainConfig& cfg, FederationSim& sim) {
+  // A default AggregationConfig (streaming off) makes the round buffer.
+  std::vector<std::unique_ptr<StreamingAccumulator>> groups = sync_round(
+      clients, cohort, sim.channel().broadcast(deployed, cohort), rule,
+      {&anchor}, {}, cfg, AggregationConfig{}, sim);
+  return std::unique_ptr<BufferingAccumulator>(
+      static_cast<BufferingAccumulator*>(groups.front().release()));
 }
 
 }  // namespace fleda

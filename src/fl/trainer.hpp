@@ -13,16 +13,25 @@
 // default (homogeneous, always-online) profiles and a lossless
 // channel, the sync path is bit-identical to a direct exchange — the
 // engine only attaches simulated time to it.
+//
+// All synchronous algorithms share one round body, sync_round:
+// broadcast, train plus attack inside Channel::collect_streaming
+// lanes, fold every decoded upload into its group's
+// StreamingAccumulator, detect, record telemetry, close the barrier.
+// What AggregationConfig::streaming selects is only the accumulator:
+// the rule's native one, or (default) a BufferingAccumulator whose
+// finish() is the rule's own aggregate().
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "fl/aggregation.hpp"
 #include "fl/anomaly.hpp"
 #include "fl/client.hpp"
 #include "fl/participation.hpp"
-#include "fl/server.hpp"
 #include "sim/federation.hpp"
 
 namespace fleda {
@@ -133,63 +142,58 @@ class FederatedAlgorithm {
       std::size_t num_clients, const FLRunOptions& opts,
       const FederationSim& sim);
 
-  // Runs local_update on every client in parallel (each client only
-  // touches its own model and data). deployed[k] is what client k
-  // starts from this round. This is the direct, unmetered path — kept
-  // for baselines and as the reference the channel path is tested
-  // against.
-  static std::vector<ModelParameters> parallel_local_updates(
-      std::vector<Client>& clients,
-      const std::vector<const ModelParameters*>& deployed,
-      const ClientTrainConfig& cfg);
+  // The synchronous round body every sync algorithm runs its cohort
+  // through. received[i] is what cohort[i] decoded from this round's
+  // broadcast (Channel::broadcast); each member trains from it under
+  // `cfg` inside a Channel::collect_streaming lane, a Byzantine member
+  // corrupts its upload, and the decoded upload folds into the
+  // accumulator of its group — group_of[i] (empty = everyone in group
+  // 0), anchored on anchors[group] — weighted by the member's sample
+  // count. Then the anomaly detector scores the cohort, telemetry
+  // records it and the barrier closes the round at the slowest member.
+  // Returns one merged accumulator per group; the caller finish()es the
+  // groups it keeps.
+  //
+  // Buffered rounds (see native_folding) fold one lane per member:
+  // training keeps full per-member parallelism, and the buffer keeps
+  // cohort order, so the result is bit-identical to aggregating the
+  // materialized cohort. Native rounds fold kFoldLanes lanes,
+  // bit-identical across pool sizes.
+  static std::vector<std::unique_ptr<StreamingAccumulator>> sync_round(
+      std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
+      const std::vector<std::shared_ptr<const ModelParameters>>& received,
+      const AggregationRule& rule,
+      const std::vector<const ModelParameters*>& anchors,
+      const std::vector<std::size_t>& group_of, const ClientTrainConfig& cfg,
+      const AggregationConfig& agg, FederationSim& sim);
 
-  // Sync-barrier exchange round on the simulation engine, over the
-  // full client set: broadcasts deployed[k] down the channel, trains
-  // each client from what it decoded, collects the updates back up
-  // (delta codecs encode against the decoded deployment), schedules
-  // the per-client transfer/compute events and closes the round at the
-  // slowest client. Returns the server-side view of the updates.
-  static std::vector<ModelParameters> parallel_local_updates(
-      std::vector<Client>& clients,
-      const std::vector<const ModelParameters*>& deployed,
-      const ClientTrainConfig& cfg, FederationSim& sim);
+  // sync_round over per-group models (IFCA, AssignedClustering):
+  // models[g] becomes group g's aggregate; a group no member folded
+  // into keeps its model.
+  static void sync_group_round(
+      std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
+      const std::vector<std::shared_ptr<const ModelParameters>>& received,
+      const AggregationRule& rule, const std::vector<std::size_t>& group_of,
+      std::vector<ModelParameters>& models, const ClientTrainConfig& cfg,
+      const AggregationConfig& agg, FederationSim& sim);
 
-  // Cohort form of the sync exchange round: deployed[i] goes to client
-  // cohort[i], only cohort members train, upload and are billed, and
-  // the barrier closes at the slowest *member* — the building block
-  // every synchronous algorithm now composes with a
-  // ParticipationPolicy. Returns cohort-indexed server-side updates.
-  static std::vector<ModelParameters> cohort_local_updates(
+  // One-group sync_round whose buffered updates the caller reads
+  // (FedProx-LG, alpha-portion sync): deploys deployed[i] to cohort[i]
+  // and returns the cohort's updates in cohort order, anchored on
+  // `anchor` for finish().
+  static std::unique_ptr<BufferingAccumulator> buffered_round(
       std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
       const std::vector<const ModelParameters*>& deployed,
+      const AggregationRule& rule, const ModelParameters& anchor,
       const ClientTrainConfig& cfg, FederationSim& sim);
 
-  // Whether this run's synchronous rounds take the streaming
-  // accumulator path: opted in (opts.aggregation.streaming), a rule
-  // with a streaming form (requires_dense() == false), and no anomaly
-  // detector (detection scores the materialized cohort, so it pins the
-  // dense path). Evaluated once per run.
-  static bool streaming_rounds(const FLRunOptions& opts,
-                               const AggregationRule& rule,
-                               const FederationSim& sim);
-
-  // Streaming counterpart of cohort_local_updates + Server::aggregate
-  // in one pass: broadcasts `global` to the cohort, trains each member
-  // inside its fold lane, folds every decoded upload straight into a
-  // per-lane accumulator from `rule` and frees it, then merges the
-  // lanes in lane order and returns the aggregated next model — the
-  // cohort is never materialized, so server memory stays O(lanes x
-  // model) at any cohort size. cohort_weights[i] weights cohort[i].
-  // Bit-identical across thread-pool sizes (the lane partition is a
-  // pure function of the cohort), but NOT bit-identical to the dense
-  // path (double partial sums reassociate) — which is why the caller
-  // gates on streaming_rounds().
-  static ModelParameters streaming_cohort_round(
-      std::vector<Client>& clients, const std::vector<std::size_t>& cohort,
-      const ModelParameters& global,
-      const std::vector<double>& cohort_weights, const AggregationRule& rule,
-      const AggregationConfig& agg, const ClientTrainConfig& cfg,
-      FederationSim& sim);
+  // Whether this run's aggregations fold through the rules' native
+  // accumulator() (agg.streaming) rather than a BufferingAccumulator.
+  // An anomaly detector pins buffering: it scores the materialized
+  // cohort. The only reader of the streaming flag apart from
+  // AlphaPortionSync's O(n) mix, a different sum order of its own.
+  static bool native_folding(const AggregationConfig& agg,
+                             const FederationSim& sim);
 };
 
 }  // namespace fleda

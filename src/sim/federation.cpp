@@ -27,7 +27,7 @@ void FederationSim::set_anomaly(AnomalyDetector* detector,
 
 void FederationSim::observe_cohort_updates(
     const std::vector<std::size_t>& cohort,
-    const std::vector<ModelParameters>& updates,
+    const std::vector<const ModelParameters*>& updates,
     const std::vector<const ModelParameters*>& references) {
   if (detector_ == nullptr) return;
   if (cohort.size() != updates.size() || cohort.size() != references.size()) {
@@ -38,7 +38,7 @@ void FederationSim::observe_cohort_updates(
   std::vector<ModelParameters> deltas(cohort.size());
   std::vector<const ModelParameters*> delta_ptrs(cohort.size());
   for (std::size_t i = 0; i < cohort.size(); ++i) {
-    deltas[i] = updates[i];
+    deltas[i] = *updates[i];
     if (references[i] != nullptr &&
         deltas[i].structurally_equal(*references[i])) {
       deltas[i].add_scaled(*references[i], -1.0);

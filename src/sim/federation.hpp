@@ -69,9 +69,10 @@ class FederationSim {
   // verdicts to the reputation book and the telemetry sink. No-op when
   // no detector is set. `references[i]` is the model deployed to
   // cohort[i]; `updates[i]` its returned parameters.
-  void observe_cohort_updates(const std::vector<std::size_t>& cohort,
-                              const std::vector<ModelParameters>& updates,
-                              const std::vector<const ModelParameters*>& references);
+  void observe_cohort_updates(
+      const std::vector<std::size_t>& cohort,
+      const std::vector<const ModelParameters*>& updates,
+      const std::vector<const ModelParameters*>& references);
   // Same, for callers that already hold deltas (async buffers).
   void observe_cohort_deltas(const std::vector<std::size_t>& clients,
                              const std::vector<const ModelParameters*>& deltas);

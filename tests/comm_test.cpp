@@ -10,8 +10,8 @@
 
 #include "comm/channel.hpp"
 #include "comm/codec.hpp"
+#include "fl/aggregation.hpp"
 #include "fl/fedavg.hpp"
-#include "fl/server.hpp"
 #include "models/registry.hpp"
 
 namespace fleda {
@@ -34,6 +34,23 @@ double max_abs_error(const ModelParameters& a, const ModelParameters& b) {
     }
   }
   return worst;
+}
+
+// One uplink wave through Channel::collect_streaming, the way the
+// round body drives it (one lane per sender); returns the server-side
+// view in sender order.
+std::vector<ModelParameters> collect(
+    Channel& channel, const std::vector<ModelParameters>& updates,
+    const std::vector<const ModelParameters*>& references,
+    const std::vector<std::size_t>& senders) {
+  std::vector<ModelParameters> received(senders.size());
+  channel.collect_streaming(
+      senders, references, fold_lane_offsets(senders.size(), senders.size()),
+      [&](std::size_t i) { return updates[i]; },
+      [&](std::size_t, std::size_t i, ModelParameters&& decoded) {
+        received[i] = std::move(decoded);
+      });
+  return received;
 }
 
 TEST(HalfFloat, ExactValuesRoundTrip) {
@@ -193,6 +210,56 @@ TEST(Codec, MismatchedCodecIsRejected) {
   EXPECT_THROW(fp32.decode(truncated, nullptr), std::runtime_error);
 }
 
+// A well-formed FLC1 preamble plus one entry whose meta declares a
+// d0 x d1 tensor, followed by `payload` zero bytes — far too few for
+// the declared shape.
+ByteBuffer hostile_blob(CodecKind kind, std::int64_t d0, std::int64_t d1,
+                        std::size_t payload = 1) {
+  ByteBuffer blob = {'F', 'L', 'C', '1', static_cast<std::uint8_t>(kind)};
+  auto put = [&blob](const auto& value) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
+    blob.insert(blob.end(), bytes, bytes + sizeof(value));
+  };
+  put(std::uint32_t{1});  // entries
+  put(std::uint32_t{0});  // empty name
+  put(std::uint8_t{0});   // not a buffer
+  put(std::uint32_t{2});  // rank
+  put(d0);
+  put(d1);
+  blob.resize(blob.size() + payload, 0);
+  return blob;
+}
+
+TEST(Codec, HostileShapesThrowRuntimeErrorBeforeAllocating) {
+  // 2^40 elements (4 TiB of floats) declared by a few dozen bytes, a
+  // 2^62-element shape whose byte count overflows, and 2^64 elements
+  // that overflow the element count itself: every codec must refuse
+  // with the documented runtime_error, never bad_alloc / length_error
+  // or a silently wrapped shape.
+  const std::int64_t huge = std::int64_t{1} << 20;
+  const std::int64_t big = std::int64_t{1} << 31;
+  const std::int64_t wrap = std::int64_t{1} << 32;
+  for (CodecKind kind : {CodecKind::kFp32, CodecKind::kFp16,
+                         CodecKind::kInt8Quant, CodecKind::kTopKDelta}) {
+    const std::unique_ptr<ParameterCodec> codec = make_codec(kind, 0.1);
+    for (const std::int64_t d : {huge, big, wrap}) {
+      EXPECT_THROW(codec->decode(hostile_blob(kind, d, d, 16), nullptr),
+                   std::runtime_error)
+          << to_string(kind) << " " << d << "x" << d;
+    }
+    EXPECT_THROW(codec->decode(hostile_blob(kind, -4, 4), nullptr),
+                 std::runtime_error)
+        << to_string(kind);
+  }
+  // Top-k against a reference: the declared shape must match it before
+  // the decoder copies anything.
+  ModelParameters reference;
+  reference.mutable_entries().push_back({"", false, Tensor(Shape{4, 4})});
+  EXPECT_THROW(TopKDeltaCodec(0.1).decode(
+                   hostile_blob(CodecKind::kTopKDelta, huge, huge), &reference),
+               std::invalid_argument);
+}
+
 TEST(Codec, FactoryCoversAllKinds) {
   for (CodecKind kind : {CodecKind::kFp32, CodecKind::kFp16,
                          CodecKind::kInt8Quant, CodecKind::kTopKDelta}) {
@@ -294,7 +361,7 @@ TEST(Channel, CohortBroadcastAndCollectBillOnlySampledClients) {
   std::vector<ModelParameters> updates = {*received[0], *received[1]};
   std::vector<const ModelParameters*> refs = {received[0].get(),
                                               received[1].get()};
-  channel.collect(updates, refs, {1, 3});
+  collect(channel, updates, refs, {1, 3});
   const auto& traffic = channel.round_traffic();
   ASSERT_GE(traffic.size(), 4u);
   EXPECT_EQ(traffic[1].downlink_messages, 1u);
@@ -305,7 +372,7 @@ TEST(Channel, CohortBroadcastAndCollectBillOnlySampledClients) {
   EXPECT_EQ(traffic[2].downlink_messages, 0u);
   EXPECT_EQ(channel.stats().downlink_bytes, 2 * raw_wire_bytes(global));
   EXPECT_THROW(channel.broadcast(deployed, {1}), std::invalid_argument);
-  EXPECT_THROW(channel.collect(updates, refs, {1}), std::invalid_argument);
+  EXPECT_THROW(collect(channel, updates, refs, {1}), std::invalid_argument);
 }
 
 TEST(Channel, SerialBroadcastWavesAccumulateLatency) {
@@ -338,7 +405,8 @@ TEST(Channel, CollectMetersUplinkAndRoundsAccumulate) {
 
   std::vector<ModelParameters> updates(2, snapshot(ModelKind::kFLNet, 15));
   std::vector<const ModelParameters*> refs(2, &reference);
-  std::vector<ModelParameters> received = channel.collect(updates, refs);
+  std::vector<ModelParameters> received =
+      collect(channel, updates, refs, {0, 1});
   channel.end_round();
 
   const ChannelStats& stats = channel.stats();
@@ -350,14 +418,7 @@ TEST(Channel, CollectMetersUplinkAndRoundsAccumulate) {
   EXPECT_GT(stats.rounds[0].simulated_latency_s, 0.0);
   EXPECT_EQ(stats.simulated_latency_s, stats.rounds[0].simulated_latency_s);
 
-  EXPECT_THROW(channel.collect(updates, {&reference}), std::invalid_argument);
-}
-
-TEST(Server, AggregateValidatesSizes) {
-  const ModelParameters a = snapshot(ModelKind::kFLNet, 16);
-  std::vector<ModelParameters> updates = {a, a};
-  EXPECT_THROW(Server::aggregate(updates, {1.0}), std::invalid_argument);
-  EXPECT_THROW(Server::aggregate_subset(updates, {1.0}, {0}),
+  EXPECT_THROW(collect(channel, updates, {&reference}, {0, 1}),
                std::invalid_argument);
 }
 
@@ -422,18 +483,22 @@ TEST(Channel, EndToEndLosslessFedAvgMatchesDirectPath) {
   std::vector<ModelParameters> channel_finals =
       algo.run(w1.clients, w1.factory, opts);
 
-  // Direct path, re-implemented against the raw Client/Server API.
+  // Direct path, re-implemented against the raw Client/rule API.
   TinyWorld w2 = make_world(77);
   Rng rng(opts.seed);
   RoutabilityModelPtr init = w2.factory(rng);
   ModelParameters global = ModelParameters::from_model(*init);
-  const std::vector<double> weights = Server::client_weights(w2.clients);
+  const std::vector<double> weights = client_weights(w2.clients);
   for (int r = 0; r < opts.rounds; ++r) {
     std::vector<ModelParameters> updates;
+    std::vector<AggregationInput> cohort;
     for (Client& c : w2.clients) {
       updates.push_back(c.local_update(global, opts.client));
     }
-    global = Server::aggregate(updates, weights);
+    for (std::size_t k = 0; k < updates.size(); ++k) {
+      cohort.push_back({&updates[k], weights[k], 0});
+    }
+    global = WeightedAverage().aggregate(global, cohort);
   }
 
   ASSERT_EQ(channel_finals.size(), 2u);

@@ -577,20 +577,49 @@ TEST(Participation, AllOfflineCohortFailsWithDescriptiveError) {
   }
 }
 
+TEST(Participation, AllOfflineIFCARoundKeepsEveryClusterModel) {
+  // A cluster nobody joined keeps its model, so rounds whose cohort is
+  // empty leave IFCA exactly where it started and upload nothing.
+  FLRunOptions opts = tiny_options();
+  opts.participation.kind = ParticipationKind::kAvailabilityAware;
+  opts.sim = SimConfig::uniform(3);
+  for (ClientProfile& p : opts.sim.profiles) p.offline.push_back({0.0, 100.0});
+  ChannelStats stats;
+  opts.comm_stats = &stats;
+  TinyWorld w = make_world(86);
+  const std::vector<ModelParameters> finals =
+      IFCA(2).run(w.clients, w.factory, opts);
+  EXPECT_EQ(stats.uplink_messages, 0u);
+
+  FLRunOptions untrained = tiny_options(/*rounds=*/0);
+  TinyWorld w0 = make_world(86);
+  const std::vector<ModelParameters> initial =
+      IFCA(2).run(w0.clients, w0.factory, untrained);
+  ASSERT_EQ(finals.size(), initial.size());
+  for (std::size_t k = 0; k < finals.size(); ++k) {
+    EXPECT_TRUE(bit_identical(finals[k], initial[k])) << "client " << k;
+  }
+}
+
 // --- aggregation rules (tentpole + guard satellite) ------------------
 
-TEST(AggregationRules, WeightedAverageMatchesServerFacade) {
+TEST(AggregationRules, WeightedAverageMatchesItsBufferedRound) {
   TinyWorld w = make_world(85);
   Rng rng(5);
   ModelParameters u1 = ModelParameters::from_model(*w.factory(rng));
   ModelParameters u2 = ModelParameters::from_model(*w.factory(rng));
-  const std::vector<ModelParameters> updates = {u1, u2};
   const std::vector<double> weights = {1.0, 3.0};
 
-  const ModelParameters via_server = Server::aggregate(updates, weights);
-  const ModelParameters via_rule = WeightedAverage().aggregate(
-      ModelParameters{}, {{&u1, 1.0, 0}, {&u2, 3.0, 0}});
-  EXPECT_TRUE(bit_identical(via_server, via_rule));
+  // What a buffered round does: fold each upload, finish once.
+  const WeightedAverage rule;
+  const ModelParameters none;
+  BufferingAccumulator round(rule, none);
+  round.fold(u1, weights[0], 0, 0);
+  round.fold(u2, weights[1], 0, 1);
+  const ModelParameters via_round = round.finish();
+  const ModelParameters via_rule =
+      rule.aggregate(none, {{&u1, 1.0, 0}, {&u2, 3.0, 0}});
+  EXPECT_TRUE(bit_identical(via_round, via_rule));
 }
 
 TEST(AggregationRules, EmptyCohortAndZeroWeightThrowDescriptively) {

@@ -1,11 +1,11 @@
-// Tests for ModelParameters (the FL communication unit) and Server
+// Tests for ModelParameters (the FL communication unit) and group
 // aggregation: snapshot/apply round trips, weighted-average math,
 // proximal distance, the LG merge, and buffer handling (BatchNorm
 // running statistics participate in aggregation).
 #include <gtest/gtest.h>
 
+#include "fl/aggregation.hpp"
 #include "fl/parameters.hpp"
-#include "fl/server.hpp"
 #include "models/registry.hpp"
 #include "tensor/ops.hpp"
 
@@ -144,7 +144,7 @@ TEST(ModelParameters, OutputLayerPredicateMatchesAllModels) {
   }
 }
 
-TEST(Server, AggregateSubsetUsesOnlyMembers) {
+TEST(Aggregation, GroupAccumulatorUsesOnlyMembers) {
   RoutabilityModelPtr m = fresh(ModelKind::kFLNet, 13);
   ModelParameters base = ModelParameters::from_model(*m);
   ModelParameters x1 = base, x2 = base, x3 = base;
@@ -153,14 +153,18 @@ TEST(Server, AggregateSubsetUsesOnlyMembers) {
   x3.scale(100.0);  // must be ignored
   std::vector<ModelParameters> updates = {x1, x2, x3};
   std::vector<double> weights = {1.0, 1.0, 1.0};
-  ModelParameters agg = Server::aggregate_subset(updates, weights, {0, 1});
+  // A group's accumulator (an IFCA cluster's) sees only its members.
+  const WeightedAverage rule;
+  BufferingAccumulator group(rule, base);
+  for (std::size_t m : {0u, 1u}) group.fold(updates[m], weights[m], 0, -1);
+  ModelParameters agg = group.finish();
   ModelParameters expected = base;
   expected.scale(1.5);
   for (std::size_t i = 0; i < agg.entries().size(); ++i) {
     EXPECT_TRUE(allclose(agg.entries()[i].value, expected.entries()[i].value,
                          1e-5f, 1e-6f));
   }
-  EXPECT_THROW(Server::aggregate_subset(updates, weights, {}),
+  EXPECT_THROW(BufferingAccumulator(rule, base).finish(),
                std::invalid_argument);
 }
 

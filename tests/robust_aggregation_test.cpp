@@ -19,7 +19,6 @@
 #include "fl/async_fedavg.hpp"
 #include "fl/fedavg.hpp"
 #include "fl/participation.hpp"
-#include "fl/server.hpp"
 #include "fl/synthetic.hpp"
 #include "sim/profile.hpp"
 #include "util/thread_pool.hpp"
@@ -206,18 +205,30 @@ TEST(AggregationGuards, InfUpdateAndUnlabeledInputsAlsoFail) {
   }
 }
 
-TEST(AggregationGuards, ServerFacadeLabelsClientsFromTheCohort) {
+TEST(AggregationGuards, AccumulatorsLabelClientsFromTheCohort) {
   const std::vector<ModelParameters> updates = {
       make_params({1.0f}),
       make_params({std::numeric_limits<float>::quiet_NaN()})};
   const std::vector<double> weights = {1.0, 1.0};
+  const std::vector<int> cohort = {4, 42};
   const WeightedAverage rule;
-  try {
-    Server::aggregate(rule, ModelParameters{}, updates, weights, {4, 42});
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("client 42"), std::string::npos)
-        << e.what();
+  const ModelParameters none;
+  // Buffered rounds validate in finish(), native ones at fold time;
+  // both name the sender the round folded in.
+  BufferingAccumulator buffered(rule, none);
+  const std::unique_ptr<StreamingAccumulator> native = rule.accumulator(none);
+  for (StreamingAccumulator* acc :
+       std::vector<StreamingAccumulator*>{&buffered, native.get()}) {
+    try {
+      for (std::size_t i = 0; i < updates.size(); ++i) {
+        acc->fold(updates[i], weights[i], 0, cohort[i]);
+      }
+      acc->finish();
+      FAIL() << "expected invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("client 42"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -13,9 +13,9 @@
 #include <limits>
 #include <set>
 
+#include "fl/aggregation.hpp"
 #include "fl/async_fedavg.hpp"
 #include "fl/fedavg.hpp"
-#include "fl/server.hpp"
 #include "fl/synthetic.hpp"
 #include "models/registry.hpp"
 #include "sim/engine.hpp"
@@ -341,27 +341,36 @@ TEST(AsyncFedAvg, ThrowsWhenEveryClientIsPermanentlyOffline) {
 
 // --- aggregation guards (satellite) ----------------------------------
 
-TEST(ServerGuards, DescriptiveErrorsInsteadOfNaNs) {
+TEST(AggregationGuards, DescriptiveErrorsInsteadOfNaNs) {
   Rng rng(4);
   RoutabilityModelPtr model = make_model(ModelKind::kFLNet, 2, rng);
-  ModelParameters params = ModelParameters::from_model(*model);
-  std::vector<ModelParameters> updates = {params, params};
+  const ModelParameters params = ModelParameters::from_model(*model);
+  const WeightedAverage rule;
+  const ModelParameters none;
+  // Folds `weights` (one update each) into a buffering accumulator and
+  // finishes it, like a buffered round.
+  auto aggregate = [&](const std::vector<double>& weights) {
+    BufferingAccumulator acc(rule, none);
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      acc.fold(params, weights[i], 0, static_cast<int>(i));
+    }
+    return acc.finish();
+  };
 
   // Empty member set.
-  EXPECT_THROW(Server::aggregate_subset(updates, {1.0, 1.0}, {}),
-               std::invalid_argument);
+  EXPECT_THROW(aggregate({}), std::invalid_argument);
   // Zero total weight would divide by zero -> NaN parameters.
-  EXPECT_THROW(Server::aggregate(updates, {0.0, 0.0}), std::invalid_argument);
+  EXPECT_THROW(aggregate({0.0, 0.0}), std::invalid_argument);
   // Non-finite weights must not slip through the sign check.
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(Server::aggregate(updates, {nan, 1.0}), std::invalid_argument);
-  EXPECT_THROW(
-      Server::aggregate(updates,
-                        {std::numeric_limits<double>::infinity(), 1.0}),
-      std::invalid_argument);
-  // Subset with all-zero weights.
-  EXPECT_THROW(Server::aggregate_subset(updates, {0.0, 0.0}, {0, 1}),
+  EXPECT_THROW(aggregate({nan, 1.0}), std::invalid_argument);
+  EXPECT_THROW(aggregate({std::numeric_limits<double>::infinity(), 1.0}),
                std::invalid_argument);
+  // The dense rule itself, on the materialized cohort.
+  EXPECT_THROW(rule.aggregate(ModelParameters{}, {}), std::invalid_argument);
+  EXPECT_THROW(
+      rule.aggregate(ModelParameters{}, {{&params, 0.0, 0}, {&params, 0.0, 0}}),
+      std::invalid_argument);
 }
 
 // --- determinism across thread-pool sizes (satellite) ----------------

@@ -1,13 +1,14 @@
 // Streaming-aggregation tests: the StreamingAccumulator protocol
-// (fold/merge/finish per rule family), streaming ≡ dense at small K
-// (exact to float rounding for the mean family, within one bin width
-// for the histogram sketches), bit-identity of the streaming path
-// across thread-pool sizes and shard counts (lane partition + merge
-// order are pure functions of the cohort), the fold-time validation
-// guards, Channel::collect_streaming / move-collect equivalence with
-// the batch collect, the fast client-construction schema, the
-// importance_sample participation policy, and end-to-end streaming
-// round loops (FedAvg, AlphaPortionSync, AsyncFedAvg).
+// (fold/merge/finish per rule family), every registered rule's
+// accumulator ≡ its dense aggregate() (bit-for-bit for buffering
+// accumulators, to float rounding for the native mean family, within
+// one bin width for the histogram sketches), bit-identity of the
+// native path across thread-pool sizes (lane partition + merge order
+// are pure functions of the cohort), the fold-time validation guards,
+// Channel::collect_streaming's lane validation and error propagation,
+// the fast client-construction schema, the importance_sample
+// participation policy, and end-to-end streaming round loops (FedAvg,
+// AlphaPortionSync, AsyncFedAvg).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -82,24 +83,26 @@ double max_abs_diff(const ModelParameters& a, const ModelParameters& b) {
 // Runs `cohort` through the rule's streaming path exactly like the
 // round loops do: lanes from fold_lane_offsets, serial folds per lane
 // in cohort order, lanes merged ascending, one finish.
+// `buffered` swaps in the BufferingAccumulator a round uses when it
+// does not fold natively.
 ModelParameters stream_aggregate(const AggregationRule& rule,
                                  const ModelParameters& current,
                                  const std::vector<AggregationInput>& cohort,
-                                 std::size_t shards = 0) {
-  ShardLayout layout;
-  layout.cohort_size = cohort.size();
-  layout.shards = shards;
+                                 bool buffered = false) {
   const std::vector<std::size_t> lanes =
-      fold_lane_offsets(cohort.size(), layout.lanes);
-  std::vector<std::unique_ptr<StreamingAccumulator>> accs(layout.lanes);
-  for (auto& acc : accs) acc = rule.accumulator(current, layout);
-  for (std::size_t l = 0; l < layout.lanes; ++l) {
+      fold_lane_offsets(cohort.size(), kFoldLanes);
+  std::vector<std::unique_ptr<StreamingAccumulator>> accs(kFoldLanes);
+  for (auto& acc : accs) {
+    acc = buffered ? std::make_unique<BufferingAccumulator>(rule, current)
+                   : rule.accumulator(current);
+  }
+  for (std::size_t l = 0; l < kFoldLanes; ++l) {
     for (std::size_t i = lanes[l]; i < lanes[l + 1]; ++i) {
       accs[l]->fold(*cohort[i].params, cohort[i].weight, cohort[i].staleness,
                     cohort[i].client);
     }
   }
-  for (std::size_t l = 1; l < layout.lanes; ++l) accs[0]->merge(*accs[l]);
+  for (std::size_t l = 1; l < kFoldLanes; ++l) accs[0]->merge(*accs[l]);
   return accs[0]->finish();
 }
 
@@ -219,9 +222,11 @@ TEST(StreamingAccumulator, SketchClampsOutOfSpanValuesToEdgeBins) {
   EXPECT_LE(std::abs(values_of(streamed)[0]), 0.25 + 1e-6);
 }
 
-// --- determinism across pools and shards -----------------------------
+// --- determinism across pools ----------------------------------------
 
-TEST(StreamingAccumulator, BitIdenticalAcrossThreadPoolSizesAndShards) {
+// Merge/finish split their element-wise work one shard per pool thread,
+// so varying the pool also varies the shard count.
+TEST(StreamingAccumulator, BitIdenticalAcrossThreadPoolSizes) {
   std::vector<ModelParameters> members;
   std::vector<AggregationInput> cohort;
   Rng rng(7);
@@ -238,19 +243,17 @@ TEST(StreamingAccumulator, BitIdenticalAcrossThreadPoolSizesAndShards) {
   const ModelParameters current = make_params({0.0f, 0.0f}, 0.0f);
   const WeightedAverage mean;
   const CoordinateMedian median(32, 0.25);
-  const ModelParameters mean_ref = stream_aggregate(mean, current, cohort, 1);
-  const ModelParameters median_ref =
-      stream_aggregate(median, current, cohort, 1);
-  for (const std::size_t pool : {1u, 2u, 8u}) {
+  ThreadPool::reset_global(1);
+  const ModelParameters mean_ref = stream_aggregate(mean, current, cohort);
+  const ModelParameters median_ref = stream_aggregate(median, current, cohort);
+  for (const std::size_t pool : {2u, 3u, 8u, 16u}) {
     ThreadPool::reset_global(pool);
-    for (const std::size_t shards : {1u, 3u, 16u}) {
-      EXPECT_TRUE(bit_identical(
-          mean_ref, stream_aggregate(mean, current, cohort, shards)))
-          << "weighted_average pool=" << pool << " shards=" << shards;
-      EXPECT_TRUE(bit_identical(
-          median_ref, stream_aggregate(median, current, cohort, shards)))
-          << "coordinate_median pool=" << pool << " shards=" << shards;
-    }
+    EXPECT_TRUE(
+        bit_identical(mean_ref, stream_aggregate(mean, current, cohort)))
+        << "weighted_average pool=" << pool;
+    EXPECT_TRUE(
+        bit_identical(median_ref, stream_aggregate(median, current, cohort)))
+        << "coordinate_median pool=" << pool;
   }
   ThreadPool::reset_global(0);
 }
@@ -259,7 +262,7 @@ TEST(StreamingAccumulator, BitIdenticalAcrossThreadPoolSizesAndShards) {
 
 TEST(StreamingAccumulator, FoldRejectsNonFiniteUpdateNamingTheClient) {
   const WeightedAverage rule;
-  auto acc = rule.accumulator(ModelParameters{}, ShardLayout{});
+  auto acc = rule.accumulator(ModelParameters{});
   const ModelParameters bad =
       make_params({1.0f, std::numeric_limits<float>::quiet_NaN()});
   try {
@@ -273,7 +276,7 @@ TEST(StreamingAccumulator, FoldRejectsNonFiniteUpdateNamingTheClient) {
 
 TEST(StreamingAccumulator, FoldRejectsBadWeightsAndEmptyUpdates) {
   const WeightedAverage rule;
-  auto acc = rule.accumulator(ModelParameters{}, ShardLayout{});
+  auto acc = rule.accumulator(ModelParameters{});
   const ModelParameters ok = make_params({1.0f});
   EXPECT_THROW(acc->fold(ok, -1.0, 0, 0), std::invalid_argument);
   EXPECT_THROW(acc->fold(ok, std::numeric_limits<double>::quiet_NaN(), 0, 0),
@@ -284,15 +287,15 @@ TEST(StreamingAccumulator, FoldRejectsBadWeightsAndEmptyUpdates) {
 
 TEST(StreamingAccumulator, FinishOnZeroFoldsThrowsLikeTheDenseEmptyCohort) {
   const WeightedAverage rule;
-  auto acc = rule.accumulator(ModelParameters{}, ShardLayout{});
+  auto acc = rule.accumulator(ModelParameters{});
   EXPECT_EQ(acc->folds(), 0u);
   EXPECT_THROW(acc->finish(), std::invalid_argument);
 }
 
 TEST(StreamingAccumulator, MergeCountsFoldsAndEmptiesThePeer) {
   const WeightedAverage rule;
-  auto a = rule.accumulator(ModelParameters{}, ShardLayout{});
-  auto b = rule.accumulator(ModelParameters{}, ShardLayout{});
+  auto a = rule.accumulator(ModelParameters{});
+  auto b = rule.accumulator(ModelParameters{});
   const ModelParameters u = make_params({1.0f});
   a->fold(u, 1.0, 0, 0);
   b->fold(u, 1.0, 0, 1);
@@ -306,31 +309,63 @@ TEST(StreamingAccumulator, MergeRejectsAForeignAccumulatorType) {
   const WeightedAverage mean;
   const NormClippedMean clipped(1.0);
   const ModelParameters current = make_params({0.0f});
-  auto a = mean.accumulator(current, ShardLayout{});
-  auto b = clipped.accumulator(current, ShardLayout{});
+  auto a = mean.accumulator(current);
+  auto b = clipped.accumulator(current);
   EXPECT_THROW(a->merge(*b), std::invalid_argument);
 }
 
-TEST(StreamingAccumulator, KrumFamilyStaysDense) {
-  const Krum krum(1);
-  const MultiKrum multi(1, 0);
-  EXPECT_TRUE(krum.requires_dense());
-  EXPECT_TRUE(multi.requires_dense());
-  EXPECT_THROW(krum.accumulator(ModelParameters{}, ShardLayout{}),
-               std::logic_error);
-  const WeightedAverage mean;
-  EXPECT_FALSE(mean.requires_dense());
-  EXPECT_FALSE(CoordinateMedian().requires_dense());
-  EXPECT_FALSE(TrimmedMean(0.1).requires_dense());
-  EXPECT_FALSE(NormClippedMean(1.0).requires_dense());
+TEST(StreamingAccumulator, EveryRegisteredRuleFoldsToItsDenseAggregate) {
+  // Seven members (Krum's n >= 2f + 3 with f = 1) inside the sketch
+  // window around current = 0.
+  const ModelParameters current = make_params({0.0f, 0.0f, 0.0f}, 0.0f);
+  std::vector<ModelParameters> members;
+  std::vector<AggregationInput> cohort;
+  Rng rng(29);
+  for (int i = 0; i < 7; ++i) {
+    members.push_back(make_params({static_cast<float>(rng.uniform(-0.2, 0.2)),
+                                   static_cast<float>(rng.uniform(-0.2, 0.2)),
+                                   static_cast<float>(rng.uniform(-0.2, 0.2))},
+                                  static_cast<float>(rng.uniform(-0.2, 0.2))));
+  }
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    cohort.push_back({&members[i], 1.0 + static_cast<double>(i),
+                      static_cast<int>(i % 3), static_cast<int>(i)});
+  }
+  const AggregationConfig config;
+  const AggregationRegistry& registry = AggregationRegistry::global();
+  ASSERT_GE(registry.names().size(), 7u);
+  for (const std::string& name : registry.names()) {
+    const std::unique_ptr<AggregationRule> rule =
+        registry.create(name, config);
+    const ModelParameters dense = rule->aggregate(current, cohort);
+    // The buffering accumulator hands the cohort to aggregate() in
+    // cohort order: bit-for-bit.
+    EXPECT_TRUE(bit_identical(
+        dense, stream_aggregate(*rule, current, cohort, /*buffered=*/true)))
+        << name;
+    // The rule's own accumulator: bit-for-bit when it is the buffering
+    // default (Krum family), else within the declared tolerance — float
+    // rounding for the mean family, one bin width for the sketches.
+    const bool buffering = dynamic_cast<BufferingAccumulator*>(
+                               rule->accumulator(current).get()) != nullptr;
+    const ModelParameters native = stream_aggregate(*rule, current, cohort);
+    if (buffering) {
+      EXPECT_TRUE(bit_identical(dense, native)) << name;
+    } else {
+      const bool sketch = name == "coordinate_median" || name == "trimmed_mean";
+      const double tolerance =
+          sketch ? 2.0 * config.sketch_span / config.sketch_bins + 1e-6 : 1e-5;
+      EXPECT_LE(max_abs_diff(dense, native), tolerance) << name;
+    }
+  }
 }
 
 TEST(StreamingAccumulator, ClippingAndSketchRulesRequireANonEmptyCurrent) {
   EXPECT_THROW(
-      NormClippedMean(1.0).accumulator(ModelParameters{}, ShardLayout{}),
+      NormClippedMean(1.0).accumulator(ModelParameters{}),
       std::invalid_argument);
   EXPECT_THROW(
-      CoordinateMedian().accumulator(ModelParameters{}, ShardLayout{}),
+      CoordinateMedian().accumulator(ModelParameters{}),
       std::invalid_argument);
 }
 
@@ -341,63 +376,7 @@ TEST(CoordinateMedian, RejectsBadSketchKnobs) {
                std::invalid_argument);
 }
 
-// --- channel: move collect and streaming collect ---------------------
-
-TEST(Channel, MoveCollectMatchesBatchCollectBitForBitIncludingBilling) {
-  const std::vector<std::size_t> senders = {1, 3, 4};
-  std::vector<ModelParameters> updates;
-  for (int i = 0; i < 3; ++i) {
-    updates.push_back(make_params({static_cast<float>(i), 1.5f}, 1.0f));
-  }
-  const std::vector<const ModelParameters*> references(senders.size(),
-                                                       nullptr);
-  Channel batch{CommConfig{}};
-  const std::vector<ModelParameters> collected =
-      batch.collect(updates, references, senders);
-  Channel moved{CommConfig{}};
-  std::vector<ModelParameters> owned = updates;  // copy, then hand over
-  const std::vector<ModelParameters> collected_moved =
-      moved.collect(std::move(owned), references, senders);
-  ASSERT_EQ(collected.size(), collected_moved.size());
-  for (std::size_t i = 0; i < collected.size(); ++i) {
-    EXPECT_TRUE(bit_identical(collected[i], collected_moved[i]));
-  }
-  EXPECT_EQ(batch.stats().uplink_bytes, moved.stats().uplink_bytes);
-  EXPECT_EQ(batch.stats().uplink_messages, moved.stats().uplink_messages);
-}
-
-TEST(Channel, CollectStreamingMatchesBatchCollectAndItsBilling) {
-  const std::size_t n = 13;
-  std::vector<std::size_t> senders(n);
-  std::vector<ModelParameters> updates;
-  for (std::size_t i = 0; i < n; ++i) {
-    senders[i] = i;
-    updates.push_back(
-        make_params({static_cast<float>(i) * 0.5f, -1.0f}, 2.0f));
-  }
-  const std::vector<const ModelParameters*> references(n, nullptr);
-
-  Channel batch{CommConfig{}};
-  const std::vector<ModelParameters> collected =
-      batch.collect(updates, references, senders);
-
-  Channel streaming{CommConfig{}};
-  std::vector<ModelParameters> folded(n);
-  streaming.collect_streaming(
-      senders, references, fold_lane_offsets(n, kFoldLanes),
-      [&](std::size_t i) { return updates[i]; },
-      [&](std::size_t, std::size_t i, ModelParameters&& decoded) {
-        folded[i] = std::move(decoded);
-      });
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(bit_identical(collected[i], folded[i])) << "position " << i;
-  }
-  EXPECT_EQ(batch.stats().uplink_bytes, streaming.stats().uplink_bytes);
-  EXPECT_EQ(batch.stats().uplink_messages,
-            streaming.stats().uplink_messages);
-  EXPECT_EQ(batch.stats().raw_uplink_bytes,
-            streaming.stats().raw_uplink_bytes);
-}
+// --- channel: streaming collect --------------------------------------
 
 TEST(Channel, CollectStreamingValidatesTheLaneOffsets) {
   Channel channel{CommConfig{}};
